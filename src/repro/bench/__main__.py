@@ -42,8 +42,8 @@ Usage::
                                       # than its serial oracle run;
                                       # skips (exit 0) on 1-core hosts
     python -m repro.bench --latency   # SLO tail-latency suite: open- vs
-                                      # closed-loop legs, decomposition
-                                      # probes and flow-cache rungs;
+                                      # closed-loop legs and
+                                      # decomposition probes;
                                       # writes BENCH_latency.json and
                                       # fails on percentile-fingerprint
                                       # drift vs the committed baseline
@@ -114,31 +114,8 @@ def _wallclock(quick: bool, jobs: int = 1, sim_jobs: int = 1) -> int:
     for name in sorted(suite["workloads"]):
         record = suite["workloads"][name]
         row = suite.get("comparison", {}).get(name, {})
-        line = "%-18s %10.0f ev/s  %8.3f s wall" % (
-            name, record["events_per_sec"], record["wall_s"])
-        if "events_per_sec_vs_prechange" in row:
-            line += "  %.2fx vs prechange" % row["events_per_sec_vs_prechange"]
-        print(line)
-        cache = record.get("flow_cache")
-        if cache and cache.get("enabled"):
-            print("  flow-cache: %d hits / %d misses / %d invalidations"
-                  " / %d evictions (%d entries)"
-                  % (cache.get("hits", 0), cache.get("misses", 0),
-                     cache.get("invalidations", 0),
-                     cache.get("evictions", 0), cache.get("entries", 0)))
-            if cache.get("compiled_enabled"):
-                print("  codegen: %d plans / %d scans compiled, "
-                      "%d plan replays / %d scan raises served, "
-                      "%d shape reuses"
-                      % (cache.get("compiled_plans", 0),
-                         cache.get("compiled_scans", 0),
-                         cache.get("compiled_replays", 0),
-                         cache.get("compiled_scan_raises", 0),
-                         cache.get("compiled_shape_hits", 0)))
-            else:
-                print("  codegen: disabled (REPRO_FLOW_COMPILE=0)")
-        elif cache is not None:
-            print("  flow-cache: disabled (REPRO_FLOW_CACHE=0)")
+        print("%-18s %10.0f ev/s  %8.3f s wall" % (
+            name, record["events_per_sec"], record["wall_s"]))
         for warning in row.get("warnings", ()):
             print("  WARN: %s" % warning)
         for error in row.get("errors", ()):
@@ -151,9 +128,9 @@ def _wallclock(quick: bool, jobs: int = 1, sim_jobs: int = 1) -> int:
         if _print_parallel_legs(parallel["legs"]):
             failed = True
     print("\nreport written to %s" % path)
-    # Fails on fingerprint drift (simulated time changed), on same-run
-    # prechange regressions, and on any partitioned leg diverging from
-    # its serial oracle; committed-baseline slowdowns only warn.
+    # Fails on fingerprint drift (simulated time changed) and on any
+    # partitioned leg diverging from its serial oracle; committed-
+    # baseline slowdowns only warn.
     return 1 if failed else 0
 
 
@@ -255,7 +232,7 @@ def _speedup_smoke(quick: bool) -> int:
         return 0
     _fn, quick_scale, full_scale = WORKLOADS["many_flows"]
     scale = quick_scale if quick else full_scale
-    # Warm imports/codegen so neither run eats the cold-start cost.
+    # Warm imports so neither run eats the cold-start cost.
     run_partitioned_workload("many_flows", min(scale, 512), 1,
                              parallel=False)
     serial = run_partitioned_workload("many_flows", scale, 2, parallel=False)
@@ -306,11 +283,7 @@ def _latency(quick: bool, jobs: int = 1, write_baseline_too: bool = False) -> in
             "  ".join("%s %d ns" % (key, parts[key])
                       for key in ("cpu_service", "nic_ring", "propagation",
                                   "stall"))))
-    rungs = suite["rungs"]
-    print("\nflow-cache rungs on %s: %s"
-          % (rungs["leg"],
-             "identical across current/prechange/uncached" if rungs["ok"]
-             else "DIVERGED %r" % rungs["fingerprints"]))
+    print()
     failed = False
     for name in sorted(suite.get("comparison", {})):
         row = suite["comparison"][name]
@@ -323,9 +296,9 @@ def _latency(quick: bool, jobs: int = 1, write_baseline_too: bool = False) -> in
     if write_baseline_too:
         print("baseline written to %s" % write_baseline(suite))
     print("\nreport written to %s" % path)
-    # Fails on percentile-fingerprint drift, decomposition drift, any
-    # unreconciled probe, and rung divergence; wall-clock drift and
-    # missing baselines only warn (the honest-gate split of PR 6).
+    # Fails on percentile-fingerprint drift, decomposition drift and any
+    # unreconciled probe; wall-clock drift and missing baselines only
+    # warn.
     return 1 if failed else 0
 
 

@@ -306,7 +306,7 @@ def run_parallel_legs(jobs_values: Sequence[int], scale: int,
     events / fingerprint / metrics equality with the parallel run.
     """
     legs: List[Dict] = []
-    # Warm the process once (imports, codegen, allocator pools) so the
+    # Warm the process once (imports, allocator pools) so the
     # serial reference isn't the one cold run of the sweep.
     run_partitioned_workload(workload, min(scale, 512), 1, parallel=False)
     reference = run_partitioned_workload(workload, scale, 1, parallel=False)

@@ -15,18 +15,12 @@ import os
 from typing import Dict, List
 
 __all__ = ["GOLDEN", "check_all", "check_one", "wallclock_smoke",
-           "bench_warn_pct", "bench_fail_pct",
-           "DEFAULT_WARN_PCT", "DEFAULT_FAIL_PCT"]
+           "bench_warn_pct", "DEFAULT_WARN_PCT"]
 
 #: default wall-clock slowdown warning threshold, in percent (versus the
 #: committed baseline -- possibly another machine, so warning is all it
 #: can honestly do).
 DEFAULT_WARN_PCT = 20.0
-
-#: default wall-clock slowdown *failure* threshold, in percent, versus
-#: the same-run ``REPRO_FLOW_COMPILE=0`` prechange leg -- same machine,
-#: same process, so a regression there is attributable to the code.
-DEFAULT_FAIL_PCT = 20.0
 
 
 def _pct_env(var: str, default: float) -> float:
@@ -55,18 +49,6 @@ def bench_warn_pct() -> float:
     noisy shared CI runner, ``5`` on a quiet dedicated box).
     """
     return _pct_env("REPRO_BENCH_WARN_PCT", DEFAULT_WARN_PCT)
-
-
-def bench_fail_pct() -> float:
-    """Wall-clock same-run regression failure threshold, in percent.
-
-    ``REPRO_BENCH_FAIL_PCT`` overrides the default.  Applied to the
-    current-vs-prechange ratio within one report (see
-    ``repro.bench.wallclock.compare_to_baseline``); unlike the warning
-    threshold this one gates, because both legs ran on the same host in
-    the same process.
-    """
-    return _pct_env("REPRO_BENCH_FAIL_PCT", DEFAULT_FAIL_PCT)
 
 
 def _fig5(device: str, system: str, **kwargs):
@@ -154,13 +136,10 @@ def wallclock_smoke() -> List[Dict]:
     """Quick wall-clock suite vs the committed baseline, as check rows.
 
     Same row shape as :func:`check_all` so ``--check`` can print one
-    table.  ``ok`` is False on simulated-time fingerprint drift (against
-    the committed baseline or the same-run ``REPRO_FLOW_COMPILE=0``
-    leg) and on a same-run prechange regression past
-    ``REPRO_BENCH_FAIL_PCT`` (default 20%).  Events/sec below the
-    *committed* baseline only sets ``warned``: that comparison may span
-    machines, so host-side throughput against it is not a golden
-    number.
+    table.  ``ok`` is False on simulated-time fingerprint drift against
+    the committed baseline.  Events/sec below the committed baseline
+    only sets ``warned``: that comparison may span machines, so
+    host-side throughput against it is not a golden number.
     """
     from .wallclock import compare_to_baseline, load_baseline, run_suite
 

@@ -99,79 +99,44 @@ def run_report(quick: bool = True, jobs: int = 1) -> str:
 # wall-clock workloads (python -m repro.bench --wallclock [--jobs N])
 # ---------------------------------------------------------------------------
 
-def _wallclock_task(payload: Tuple[str, bool, int, str]) -> Dict:
+def _wallclock_task(payload: Tuple[str, bool, int]) -> Dict:
     """Run one wall-clock workload (runs in a worker process)."""
     import random
 
-    name, quick, repeats, mode = payload
+    name, quick, repeats = payload
     random.seed(task_seed(name))
     from .wallclock import run_workload
-    return run_workload(name, quick=quick, repeats=repeats, mode=mode)
+    return run_workload(name, quick=quick, repeats=repeats)
 
 
 def run_wallclock_workloads(names: Sequence[str], quick: bool = False,
-                            repeats: int = 1, jobs: int = 1,
-                            mode: str = "current") -> Dict[str, Dict]:
+                            repeats: int = 1, jobs: int = 1) -> Dict[str, Dict]:
     """Run the named workloads; records keyed by name, in given order.
 
     Fingerprints are pure simulated-time outputs and are identical for
     any ``jobs`` value; the wall-clock side metrics (``wall_s``,
     ``events_per_sec``) are host measurements and vary run to run
-    whether or not a pool is involved.  ``mode`` picks the bit-exactness
-    rung (``current`` / ``prechange`` / ``uncached``); it travels in the
-    task payload, so a pooled prechange leg runs under the same
-    environment override a serial one does.
+    whether or not a pool is involved.
     """
     records = _map_tasks(_wallclock_task,
-                         [(name, quick, repeats, mode) for name in names],
-                         jobs)
+                         [(name, quick, repeats) for name in names], jobs)
     return dict(zip(names, records))
 
 
-def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
-                        quick: bool = False, repeats: int = 1,
-                        jobs: int = 1, sim_jobs: int = 1):
-    """Current-mode records for ``names``, plus a same-run
-    ``REPRO_FLOW_COMPILE=0`` twin for each workload in ``gated``.
+def run_wallclock_suite(names: Sequence[str], quick: bool = False,
+                        repeats: int = 1, jobs: int = 1, sim_jobs: int = 1):
+    """Records for ``names`` plus the partitioned legs.
 
-    Returns ``(current, prechange, parallel_legs)``; the first two are
-    dicts keyed by name, the third the partitioned ``many_flows`` legs
-    (empty unless ``sim_jobs > 1``).  The partitioned legs always run in
+    Returns ``(workloads, parallel_legs)``: a dict keyed by name, and
+    the partitioned ``many_flows`` / ``fabric_fat_tree`` legs (empty
+    unless ``sim_jobs > 1``).  The partitioned legs always run in
     *this* process, after the pool has drained: the parallel executor
     forks one worker per partition itself, and nesting that inside a
     ``ProcessPoolExecutor`` worker would stack process trees for no
-    speedup (the partitions already saturate the cores).  Gated
-    workloads are scheduled as *interleaved single-repeat pairs* --
-    current, prechange, current, prechange, ... -- and each mode keeps
-    its best wall_s.  Running all N repeats of one leg before any of
-    the twin's would let a repeat-scale noise burst (CPU steal, a cron
-    tick) land entirely on one side and wedge the gated ratio; pairwise
-    interleaving means any burst shorter than the whole pair sequence
-    hits both legs, and best-of-N then discards it from both (measured:
-    back-to-back whole legs still produced a 0.76 ratio on a loaded
-    one-core host; minute-scale separation was worse still, ~10 s
-    pushing a quiet-machine ratio to 0.88).
+    speedup (the partitions already saturate the cores).
     """
-    payloads = []
-    for name in names:
-        if name in gated:
-            for _ in range(max(1, repeats)):
-                payloads.append((name, quick, 1, "current"))
-                payloads.append((name, quick, 1, "prechange"))
-        else:
-            payloads.append((name, quick, repeats, "current"))
-    records = _map_tasks(_wallclock_task, payloads, jobs)
-    current, prechange = {}, {}
-    for (name, _quick, _repeats, mode), record in zip(payloads, records):
-        bucket = current if mode == "current" else prechange
-        best = bucket.get(name)
-        if best is not None and record["fingerprint"] != best["fingerprint"]:
-            raise AssertionError(
-                "workload %r is nondeterministic across repeats: "
-                "fingerprint %r != %r"
-                % (name, record["fingerprint"], best["fingerprint"]))
-        if best is None or record["wall_s"] < best["wall_s"]:
-            bucket[name] = record
+    workloads = run_wallclock_workloads(names, quick=quick, repeats=repeats,
+                                        jobs=jobs)
     parallel_legs: List[Dict] = []
     if sim_jobs > 1:
         from .wallclock import WORKLOADS
@@ -186,4 +151,4 @@ def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
         fabric_scale = quick_scale if quick else full_scale
         parallel_legs += run_parallel_legs([sim_jobs], fabric_scale,
                                            workload="fabric_fat_tree")
-    return current, prechange, parallel_legs
+    return workloads, parallel_legs

@@ -22,9 +22,7 @@ wall-clock gate (PR 6) over to latency:
 * **Decomposition probes reconcile bit-exactly.**  Closed-loop probes
   run under a :class:`~repro.obs.slo.SloTracker` and every completed
   request must satisfy ``sum(components) == total_ns`` in integer
-  nanoseconds -- an error otherwise, not a warning.  The same udp leg is
-  rerun on all three flow-cache rungs (:data:`~repro.bench.wallclock.
-  _MODE_ENV`) and the fingerprints must agree across them.
+  nanoseconds -- an error otherwise, not a warning.
 
 Legs (quick request counts in parentheses): ``udp_echo`` at mean gaps of
 2000/800/400 us on the spin/ethernet bed (150), ``tcp_objects`` -- a
@@ -62,7 +60,9 @@ __all__ = [
     "write_baseline",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+#: Schema 2 drops the ``rungs`` section: dispatch has one path, so there
+#: are no flow-cache rungs to rerun a leg on.
+REPORT_SCHEMA_VERSION = 2
 REPORT_FILENAME = "BENCH_latency.json"
 
 _REPO_ROOT = os.path.abspath(
@@ -515,11 +515,6 @@ def run_probe(name: str, quick: bool = True) -> Dict:
 # suite orchestration (shardable like the wall-clock suite)
 # ---------------------------------------------------------------------------
 
-#: the leg the flow-cache rung check reruns (the tightest udp load --
-#: the one that exercises the most cached delivery paths per request).
-_RUNG_LEG = "udp_echo@g400"
-
-
 def _latency_task(payload: Tuple[str, str, bool]) -> Dict:
     """One suite task (runs in a worker process under ``--jobs``)."""
     import random
@@ -531,41 +526,20 @@ def _latency_task(payload: Tuple[str, str, bool]) -> Dict:
         return run_leg(param, quick=quick)
     if kind == "probe":
         return run_probe(param, quick=quick)
-    if kind == "rung":
-        from .wallclock import _MODE_ENV
-        overrides = _MODE_ENV[param]
-        saved = {key: os.environ.get(key) for key in overrides}
-        os.environ.update(overrides)
-        try:
-            leg = run_leg(_RUNG_LEG, quick=quick, closed=False)
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-        return leg["open"]
     raise ValueError("unknown latency task %r" % (kind,))
 
 
 def run_latency_suite(quick: bool = True, jobs: int = 1) -> Dict:
-    """Run every leg, probe and rung; returns the full report dict."""
+    """Run every leg and probe; returns the full report dict."""
     from .runner import _map_tasks
     from .wallclock import host_fingerprint
 
     legs = leg_names(quick)
     payloads = ([("leg", name, quick) for name in legs]
-                + [("probe", name, quick) for name in PROBES]
-                + [("rung", mode, quick)
-                   for mode in ("current", "prechange", "uncached")])
+                + [("probe", name, quick) for name in PROBES])
     results = _map_tasks(_latency_task, payloads, jobs)
     merged = dict(zip([(kind, param) for kind, param, _q in payloads],
                       results))
-    rung_fingerprints = {mode: merged[("rung", mode)]
-                         for mode in ("current", "prechange", "uncached")}
-    rung_ok = (rung_fingerprints["current"]
-               == rung_fingerprints["prechange"]
-               == rung_fingerprints["uncached"])
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "generated_by": "python -m repro.bench --latency",
@@ -573,11 +547,6 @@ def run_latency_suite(quick: bool = True, jobs: int = 1) -> Dict:
         "host": host_fingerprint(),
         "legs": {name: merged[("leg", name)] for name in legs},
         "decomposition": {name: merged[("probe", name)] for name in PROBES},
-        "rungs": {
-            "leg": _RUNG_LEG,
-            "fingerprints": rung_fingerprints,
-            "ok": rung_ok,
-        },
     }
     baseline = load_baseline()
     report["comparison"] = compare_to_baseline(report, baseline or {})
@@ -678,13 +647,6 @@ def compare_to_baseline(report: Dict, baseline: Dict,
             row["errors"].append(
                 "probe decomposition drifted: %r != baseline %r"
                 % (probe["components_ns"], base_probe.get("components_ns")))
-    rung_row = {"leg": "rungs", "ok": report["rungs"]["ok"],
-                "warnings": [], "errors": []}
-    if not report["rungs"]["ok"]:
-        rung_row["errors"].append(
-            "flow-cache rung divergence on %r: %r"
-            % (report["rungs"]["leg"], report["rungs"]["fingerprints"]))
-    rows["rungs"] = rung_row
     return rows
 
 

@@ -67,10 +67,8 @@ __all__ = [
 #: that workload.  Schema 5 adds the ``host`` fingerprint (CPU / python
 #: version, so cross-machine drift is labeled instead of silently
 #: warned), the flow-cache ``compiled_*`` counters, and the ``prechange``
-#: section: a second, same-process run of every codegen-enabled workload
-#: under ``REPRO_FLOW_COMPILE=0``, which is what the comparison gate
-#: *fails* on -- same machine, same run, no cross-host noise.  The
-#: report deliberately records nothing else about *how* it was produced
+#: section (a same-process interpreted-dispatch twin of each workload).
+#: The report deliberately records nothing else about *how* it was produced
 #: beyond ``generated_by``: a parallel run (``repro.bench.runner``,
 #: ``--jobs N``) must emit the byte-identical file a serial run does.
 #: Schema 6 adds the optional ``parallel`` section (``--sim-jobs N``):
@@ -84,7 +82,11 @@ __all__ = [
 #: traffic across a k=4 fat-tree of match-action switches) and lets the
 #: ``parallel`` section carry legs from more than one workload; existing
 #: records and their fingerprints are unchanged.
-REPORT_SCHEMA_VERSION = 7
+#: Schema 8 drops the per-workload ``flow_cache`` section and the
+#: ``prechange`` leg: dispatch has one path (the guard scan), so there
+#: is no cache to count and no second rung to compare against.
+#: Fingerprints and metrics of the surviving records are unchanged.
+REPORT_SCHEMA_VERSION = 8
 REPORT_FILENAME = "BENCH_wallclock.json"
 
 #: repo-root and committed-baseline locations, resolved relative to this file
@@ -98,24 +100,6 @@ BASELINE_PATH = os.path.join(_REPO_ROOT, "benchmarks",
 # ---------------------------------------------------------------------------
 # workloads
 # ---------------------------------------------------------------------------
-
-def _flow_cache_counters(hosts) -> Dict:
-    """Aggregate flow-cache counters across every host in a workload.
-
-    Host-side observability only: the counters describe how many event
-    raises replayed a compiled plan versus walked the handler list, and
-    never feed the simulated-time fingerprint (they legitimately differ
-    under ``REPRO_FLOW_CACHE=0``).
-    """
-    total: Dict = {}
-    for host in hosts:
-        for key, value in host.dispatcher.flow_cache.counters().items():
-            if key in ("enabled", "compiled_enabled"):
-                total[key] = bool(total.get(key)) or value
-            else:
-                total[key] = total.get(key, 0) + value
-    return total
-
 
 def _metrics_snapshot(bed) -> Dict:
     """The ``repro.obs`` registry snapshot of a finished workload bed.
@@ -173,7 +157,6 @@ def _dispatcher_micro(scale: int, instrument=None) -> Dict:
         "events_per_sec": invocations / wall if wall > 0 else 0.0,
         "packets": 0,
         "packets_per_sec": 0.0,
-        "flow_cache": kernel.dispatcher.flow_cache.counters(),
         "metrics": _metrics_snapshot(bed),
         "fingerprint": {
             "raises": scale,
@@ -238,7 +221,6 @@ def _udp_pingpong(scale: int, instrument=None) -> Dict:
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "packets": packets,
         "packets_per_sec": packets / wall if wall > 0 else 0.0,
-        "flow_cache": _flow_cache_counters(bed.hosts),
         "metrics": _metrics_snapshot(bed),
         "fingerprint": {
             "trips": scale,
@@ -313,7 +295,6 @@ def _tcp_bulk(scale: int, instrument=None) -> Dict:
         "events_per_sec": events / wall if wall > 0 else 0.0,
         "packets": packets,
         "packets_per_sec": packets / wall if wall > 0 else 0.0,
-        "flow_cache": _flow_cache_counters(bed.hosts),
         "metrics": _metrics_snapshot(bed),
         "fingerprint": {
             "bytes": state["received"],
@@ -924,15 +905,9 @@ WORKLOADS: Dict[str, tuple] = {
 ON_DEMAND_WORKLOADS = ("mega_flows", "fabric_fat_tree")
 
 #: Workloads whose quick scale is itself huge warm up at a smaller one
-#: (the warmup pass exists to heat imports/codegen/pools, not to pay the
+#: (the warmup pass exists to heat imports and pools, not to pay the
 #: full workload twice).
 _WARMUP_SCALE: Dict[str, int] = {"mega_flows": 2_000, "fabric_fat_tree": 10}
-
-#: workloads with a SPIN dispatcher in the loop: exactly these behave
-#: differently under ``REPRO_FLOW_COMPILE`` / ``REPRO_FLOW_CACHE`` and
-#: get a same-run prechange twin.  ``many_flows`` runs the UNIX model,
-#: where the modes are indistinguishable.
-COMPILED_WORKLOADS = ("dispatcher_micro", "tcp_bulk", "udp_pingpong")
 
 
 # ---------------------------------------------------------------------------
@@ -956,20 +931,9 @@ def host_fingerprint() -> Dict[str, str]:
     }
 
 
-#: environment overrides per benchmark mode.  ``prechange`` is the PR 2
-#: substrate -- flow cache on, generated code off -- rerun in the same
-#: process on the same machine, which is the only comparison stable
-#: enough to gate on.
-_MODE_ENV: Dict[str, Dict[str, str]] = {
-    "current": {},
-    "prechange": {"REPRO_FLOW_COMPILE": "0"},
-    "uncached": {"REPRO_FLOW_CACHE": "0"},
-}
-
-
 def run_workload(name: str, quick: bool = False,
                  repeats: int = 1, instrument=None,
-                 mode: str = "current", sim_jobs: int = 1) -> Dict:
+                 sim_jobs: int = 1) -> Dict:
     """Run one workload; returns its metrics + fingerprint record.
 
     With ``repeats > 1`` the best (fastest) wall-clock repeat is reported
@@ -981,11 +945,6 @@ def run_workload(name: str, quick: bool = False,
     before the timed region starts -- the hook ``repro.obs`` uses to
     attach CPU profilers and span tracers.  It must not perturb
     simulated time (the fingerprint equality check enforces this).
-
-    ``mode`` selects a rung of the bit-exactness ladder via
-    :data:`_MODE_ENV` environment overrides, applied around the workload
-    (each run builds a fresh testbed, so the flow-cache switches are
-    read under the override) and restored afterwards.
 
     ``sim_jobs > 1`` runs the workload sharded over that many simulation
     partitions (only ``many_flows`` supports sharding).  Partitioned
@@ -1003,43 +962,31 @@ def run_workload(name: str, quick: bool = False,
             "and fabric_fat_tree workloads, not %r" % name)
     scale = quick_scale if quick else full_scale
     workload_kwargs = {"sim_jobs": sim_jobs} if sim_jobs > 1 else {}
-    overrides = _MODE_ENV[mode]
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
     best: Optional[Dict] = None
-    try:
-        # One discarded warmup pass at quick scale: imports, codegen
-        # compile() calls, and allocator pools all warm up outside the
-        # timed region.  Without it the first workload of a suite runs
-        # cold while legs later in the same process run warm -- a
-        # systematic bias that once showed a quick-scale micro-benchmark
-        # at 0.79x against its own prechange twin.  Uninstrumented: the
-        # warmup bed is thrown away and must not pollute a profiler.
-        fn(_WARMUP_SCALE.get(name, quick_scale), instrument=None)
-        for _ in range(max(1, repeats)):
-            # Quiesce the cyclic collector around the timed region (pyperf
-            # does the same): GC pauses land randomly and are the dominant
-            # run-to-run noise source.  Simulated time cannot observe this.
-            gc_was_enabled = gc.isenabled()
-            gc.collect()
-            gc.disable()
-            try:
-                record = fn(scale, instrument=instrument, **workload_kwargs)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-            if best is not None and record["fingerprint"] != best["fingerprint"]:
-                raise AssertionError(
-                    "workload %r is nondeterministic: fingerprint %r != %r"
-                    % (name, record["fingerprint"], best["fingerprint"]))
-            if best is None or record["wall_s"] < best["wall_s"]:
-                best = record
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    # One discarded warmup pass at quick scale: imports and allocator
+    # pools warm up outside the timed region.  Without it the first
+    # workload of a suite runs cold while legs later in the same process
+    # run warm -- a systematic bias.  Uninstrumented: the warmup bed is
+    # thrown away and must not pollute a profiler.
+    fn(_WARMUP_SCALE.get(name, quick_scale), instrument=None)
+    for _ in range(max(1, repeats)):
+        # Quiesce the cyclic collector around the timed region (pyperf
+        # does the same): GC pauses land randomly and are the dominant
+        # run-to-run noise source.  Simulated time cannot observe this.
+        gc_was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            record = fn(scale, instrument=instrument, **workload_kwargs)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        if best is not None and record["fingerprint"] != best["fingerprint"]:
+            raise AssertionError(
+                "workload %r is nondeterministic: fingerprint %r != %r"
+                % (name, record["fingerprint"], best["fingerprint"]))
+        if best is None or record["wall_s"] < best["wall_s"]:
+            best = record
     best["name"] = name
     best["scale"] = scale
     best["quick"] = quick
@@ -1047,20 +994,12 @@ def run_workload(name: str, quick: bool = False,
 
 
 def run_suite(quick: bool = False, repeats: int = 1,
-              names=None, jobs: int = 1, prechange: bool = True,
-              sim_jobs: int = 1) -> Dict:
+              names=None, jobs: int = 1, sim_jobs: int = 1) -> Dict:
     """Run every workload; returns the full report dict.
 
     ``jobs > 1`` shards the workloads across worker processes (see
     ``repro.bench.runner``); fingerprints -- and therefore the pass/fail
     outcome -- are identical for any jobs count.
-
-    With ``prechange`` (the default), every workload whose flow cache
-    compiled generated code is rerun under ``REPRO_FLOW_COMPILE=0`` --
-    the PR 2 interpreted substrate -- on this machine in this run.
-    That leg is both the oracle (its fingerprints must match the
-    compiled run byte-for-byte) and the denominator of the one speed
-    ratio stable enough to *fail* on (see :func:`compare_to_baseline`).
 
     ``sim_jobs > 1`` additionally runs partitioned ``many_flows`` legs
     (serial oracle + parallel executor at ``sim_jobs`` partitions) and
@@ -1068,20 +1007,11 @@ def run_suite(quick: bool = False, repeats: int = 1,
     workload records above are not affected -- the partitioned leg is
     extra, gated on exact equality with its own serial oracle.
     """
-    from ..spin.flowcache import flow_cache_enabled, flow_compile_enabled
     from .runner import run_wallclock_suite
     workload_names = list(names or sorted(
         name for name in WORKLOADS if name not in ON_DEMAND_WORKLOADS))
-    # Only workloads that will actually run generated code have a
-    # meaningful interpreted twin.  Statically selected (COMPILED_
-    # WORKLOADS x environment switches), so the payload list -- and the
-    # report -- is deterministic, and skipped entirely when the whole
-    # suite already runs interpreted (e.g. the CI oracle leg).
-    gated = [name for name in workload_names
-             if prechange and name in COMPILED_WORKLOADS
-             and flow_cache_enabled() and flow_compile_enabled()]
-    workloads, legs, parallel_legs = run_wallclock_suite(
-        workload_names, gated, quick=quick, repeats=repeats, jobs=jobs,
+    workloads, parallel_legs = run_wallclock_suite(
+        workload_names, quick=quick, repeats=repeats, jobs=jobs,
         sim_jobs=sim_jobs)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -1090,12 +1020,6 @@ def run_suite(quick: bool = False, repeats: int = 1,
         "host": host_fingerprint(),
         "workloads": workloads,
     }
-    if legs:
-        report["prechange"] = {
-            name: {key: leg[key] for key in
-                   ("wall_s", "events_per_sec", "fingerprint")}
-            for name, leg in legs.items()
-        }
     if parallel_legs:
         # "workload" names the headline (back-compat with schema 6
         # readers); each leg carries its own "workload" field.
@@ -1117,7 +1041,7 @@ def fingerprints_only(quick: bool = True) -> Dict[str, Dict]:
 
 
 # ---------------------------------------------------------------------------
-# baseline comparison (same-run regressions fail; cross-machine drift warns)
+# baseline comparison (fingerprint drift fails; speed drift warns)
 # ---------------------------------------------------------------------------
 
 def load_baseline(path: str = None) -> Optional[Dict]:
@@ -1130,43 +1054,22 @@ def load_baseline(path: str = None) -> Optional[Dict]:
 
 
 def compare_to_baseline(report: Dict, baseline: Dict,
-                        slowdown_warn: Optional[float] = None,
-                        slowdown_fail: Optional[float] = None) -> Dict:
-    """Compare a fresh report against its prechange leg and the baseline.
+                        slowdown_warn: Optional[float] = None) -> Dict:
+    """Compare a fresh report against the committed baseline.
 
-    Two comparisons with deliberately different teeth:
-
-    * **Same-run prechange gate (fails).**  When the report carries a
-      ``prechange`` leg (:func:`run_suite`), its fingerprints must match
-      the current run byte-for-byte, and events/sec below ``1 -
-      slowdown_fail`` of the leg is an *error* -- same machine, same
-      process, same minute, so a regression there is the code, not the
-      host.  ``slowdown_fail`` defaults to ``REPRO_BENCH_FAIL_PCT``
-      (20%).  The committed-baseline check used to warn at 34-43% on a
-      different machine while reporting ``ok``; this ratio is the one a
-      perf change actually moves.
-    * **Committed-baseline comparison (informs).**  Fingerprint
-      mismatches are still *errors* -- simulated time is deterministic
-      and machine-independent -- but events/sec versus the committed
-      numbers only *warns* beyond ``slowdown_warn``
-      (``REPRO_BENCH_WARN_PCT``, default 20), and when the report and
-      baseline ``host`` fingerprints differ the warning says so: the
-      numbers were measured on different hardware and carry no signal.
-
-    Rows also record ``events_per_sec_vs_prechange`` (same-run, gated),
-    ``events_per_sec_vs_baseline`` and
-    ``events_per_sec_vs_committed_prechange`` (informational).
+    Fingerprint mismatches are *errors* -- simulated time is
+    deterministic and machine-independent -- but events/sec versus the
+    committed numbers only *warns* beyond ``slowdown_warn``
+    (``REPRO_BENCH_WARN_PCT``, default 20), and when the report and
+    baseline ``host`` fingerprints differ the warning says so: the
+    numbers were measured on different hardware and carry no signal.
+    Rows record ``events_per_sec_vs_baseline`` (informational).
     """
     if slowdown_warn is None:
         from .regression import bench_warn_pct
         slowdown_warn = bench_warn_pct() / 100.0
-    if slowdown_fail is None:
-        from .regression import bench_fail_pct
-        slowdown_fail = bench_fail_pct() / 100.0
     mode = "quick" if report["quick"] else "full"
     base_workloads = baseline.get(mode, {}).get("workloads", {})
-    committed_prechange = baseline.get(mode, {}).get("prechange", {})
-    prechange_leg = report.get("prechange", {})
     baseline_host = baseline.get("host")
     cross_machine = baseline_host is None or baseline_host != report.get("host")
     host_note = (" (informational: baseline recorded on a different or "
@@ -1175,25 +1078,6 @@ def compare_to_baseline(report: Dict, baseline: Dict,
     for name, record in report["workloads"].items():
         row = {"workload": name, "ok": True, "warnings": [], "errors": []}
         rows[name] = row
-        # -- same-run prechange leg: the hard gate ----------------------
-        pre_run = prechange_leg.get(name)
-        if pre_run is not None:
-            if record["fingerprint"] != pre_run["fingerprint"]:
-                row["ok"] = False
-                row["errors"].append(
-                    "compiled/interpreted divergence: fingerprint %r != "
-                    "REPRO_FLOW_COMPILE=0 leg %r"
-                    % (record["fingerprint"], pre_run["fingerprint"]))
-            if pre_run.get("events_per_sec"):
-                ratio = record["events_per_sec"] / pre_run["events_per_sec"]
-                row["events_per_sec_vs_prechange"] = ratio
-                if ratio < 1.0 - slowdown_fail:
-                    row["ok"] = False
-                    row["errors"].append(
-                        "events/sec is %.0f%% of the same-run prechange "
-                        "leg (fail threshold %.0f%%)"
-                        % (100 * ratio, 100 * (1.0 - slowdown_fail)))
-        # -- committed baseline: determinism hard, speed informational --
         base = base_workloads.get(name)
         if base is None:
             row["warnings"].append("no committed baseline for %r" % name)
@@ -1211,10 +1095,6 @@ def compare_to_baseline(report: Dict, baseline: Dict,
                     "events/sec is %.0f%% of committed baseline (warn "
                     "threshold %.0f%%)%s"
                     % (100 * ratio, 100 * (1.0 - slowdown_warn), host_note))
-        pre = committed_prechange.get(name)
-        if pre and pre.get("events_per_sec"):
-            row["events_per_sec_vs_committed_prechange"] = (
-                record["events_per_sec"] / pre["events_per_sec"])
     return rows
 
 

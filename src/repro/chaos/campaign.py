@@ -14,7 +14,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
-import os
 import random
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
@@ -58,7 +57,6 @@ class CampaignSpec:
     scale: int                    # workload size (bytes, datagrams, flows)
     duration_us: float            # traffic window before shutdown
     config: ImpairmentConfig
-    oracle: bool = False          # also run the REPRO_FLOW_CACHE=0 oracle
     sabotage: Optional[str] = None  # deliberate breakage (tests/CI demo)
     #: media indexes (``bed.media()`` order) to impair; None = every wire.
     #: Multi-hop fabric beds use this to hit one core link and nothing else.
@@ -75,6 +73,10 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "CampaignSpec":
         record = dict(record)
+        # Bundles written while dispatch had a flow-cache oracle rerun
+        # carry an ``oracle`` flag; there is one dispatch path now, so
+        # the flag selects nothing and is dropped.
+        record.pop("oracle", None)
         record["config"] = ImpairmentConfig.from_dict(record["config"])
         if record.get("impair_wires") is not None:
             record["impair_wires"] = tuple(record["impair_wires"])
@@ -93,7 +95,6 @@ class CampaignContext:
         self.state = state
         self.models = models
         self.tracer = tracer
-        self.oracle_violations: List[str] = []
 
     def impairment_counters(self) -> Dict[str, int]:
         total: Dict[str, int] = {}
@@ -103,11 +104,7 @@ class CampaignContext:
         return total
 
     def fingerprint(self) -> Dict[str, Any]:
-        """The determinism contract: identical for identical specs.
-
-        Flow-cache counters are deliberately excluded -- they legitimately
-        differ between the compiled path and the linear-scan oracle.
-        """
+        """The determinism contract: identical for identical specs."""
         engine = self.bed.engine
         flows = {}
         for flow in self.state.flows:
@@ -215,7 +212,6 @@ def build_quick_corpus(base_seed: int = 1996,
             name="c%03d" % index, seed=seed, os_name=os_name, device=device,
             workload=workload, scale=scale, duration_us=duration,
             config=config,
-            oracle=(os_name == "spin" and index % 5 == 0),
         ))
     return specs
 
@@ -262,7 +258,6 @@ def build_fabric_corpus(base_seed: int = 1996) -> List[CampaignSpec]:
             name="fab%03d" % index, seed=seed, os_name=os_name,
             device="fabric", workload=workload, scale=scale,
             duration_us=duration, config=config,
-            oracle=(os_name == "spin" and index == 0),
             impair_wires=wires, reroute=reroute,
         ))
     return specs
@@ -343,51 +338,10 @@ def _apply_sabotage(ctx: CampaignContext) -> None:
     raise ValueError("unknown sabotage %r" % kind)
 
 
-def _flow_cache_armed(bed) -> bool:
-    dispatcher = getattr(bed.hosts[0], "dispatcher", None)
-    return dispatcher is not None and dispatcher.flow_cache.enabled
-
-
-def _codegen_armed(bed) -> bool:
-    dispatcher = getattr(bed.hosts[0], "dispatcher", None)
-    return dispatcher is not None and dispatcher.flow_cache.compile_enabled
-
-
-def _mode_fingerprint(spec: CampaignSpec, env: Dict[str, str]) -> Dict[str, Any]:
-    """Re-run the identical campaign under the given mode overrides."""
-    saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
-    try:
-        return _execute(spec).fingerprint()
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = value
-
-
 def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
     """Run one campaign end to end; returns the verdict record."""
     ctx = _execute(spec)
     fingerprint = ctx.fingerprint()
-    if spec.oracle and spec.os_name == "spin" and _flow_cache_armed(ctx.bed):
-        # Both lower rungs of the bit-exactness ladder: the fully
-        # interpreted oracle, and -- when the primary run used generated
-        # code -- the interpreted-replay (PR 2) twin as well.
-        oracle_modes = [("REPRO_FLOW_CACHE=0 oracle",
-                         {"REPRO_FLOW_CACHE": "0"})]
-        if _codegen_armed(ctx.bed):
-            oracle_modes.append(("REPRO_FLOW_COMPILE=0 replay",
-                                 {"REPRO_FLOW_COMPILE": "0"}))
-        for label, env in oracle_modes:
-            oracle = _mode_fingerprint(spec, env)
-            if oracle != fingerprint:
-                diverged = sorted(key for key in fingerprint
-                                  if oracle.get(key) != fingerprint[key])
-                ctx.oracle_violations.append(
-                    "compiled-path run diverges from the %s "
-                    "in: %s" % (label, ", ".join(diverged)))
     violations = check_all(ctx)
     from ..obs.wire import instrument_testbed
     verdict = {

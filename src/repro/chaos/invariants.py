@@ -234,12 +234,3 @@ def _slo_reconciliation(ctx) -> List[str]:
                         % -lifecycle.open_requests)
     return problems
 
-
-@invariant("flow_cache_coherence")
-def _flow_cache_coherence(ctx) -> List[str]:
-    """The compiled-path fingerprint matches the linear-scan oracle.
-
-    Filled in by the campaign runner (it owns the second, cache-disabled
-    run); this registry entry reports the comparison it recorded.
-    """
-    return list(ctx.oracle_violations)

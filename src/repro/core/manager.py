@@ -281,20 +281,10 @@ class IpManager(_ManagerBase):
         if mode == "inline":
             self._require_ephemeral(handler, mode)
         suppressed.add(port)
-        dispatcher = self.host.dispatcher
-        if ip_protocol == IPPROTO_TCP:
-            # The TCP-standard guard reads the diverted set live, but the
-            # redirect edge itself lives on the IP event -- the TCP event's
-            # snapshot must be replaced explicitly (invalidate_event) or
-            # cached plans, keyed on snapshot identity, would keep
-            # delivering the port locally.
-            dispatcher.invalidate_event(self.stack.tcp_recv_event)
 
         def cleanup() -> None:
             suppressed.discard(port)
             space.release(port, credential)
-            if ip_protocol == IPPROTO_TCP:
-                dispatcher.invalidate_event(self.stack.tcp_recv_event)
 
         return self._install_edge(
             self.stack.ip_recv_event, handler,
@@ -509,11 +499,6 @@ class TcpManager(_ManagerBase):
             guard=filters.tcp_port_guard(port_list),
             mode=self.stack.deliver_mode, label="tcp-%s" % name)
         self.special_ports.update(port_list)
-        # The standard guard's exclusion set just changed; flush cached
-        # verdicts (the install above already replaced the event's handler
-        # snapshot, which is what plan validity keys on, but the set
-        # mutation is the semantic trigger -- keep it explicit).
-        self.host.dispatcher.invalidate_event(self.stack.tcp_recv_event)
         return special
 
 

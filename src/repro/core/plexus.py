@@ -33,7 +33,6 @@ from ..net.headers import (
     IPPROTO_TCP,
     IPPROTO_UDP,
 )
-from ..net.flow import classify_frame
 from ..net.icmp import IcmpProto
 from ..net.ip import IpProto
 from ..net.link_adapter import EthernetAdapter, RawLinkProto
@@ -148,25 +147,14 @@ class PlexusStack:
         graph = self.graph
         mode = self.deliver_mode
         link_event = self.link_recv_event
-        flow_cache = dispatcher.flow_cache
-        raise_flow = dispatcher.raise_flow
+        raise_event = dispatcher.raise_event
 
         # Device -> link node: the link protocol's input (run at interrupt
-        # level by the kernel) freezes the packet, classifies its flow
-        # once, and raises PacketRecv along the compiled path.  The
-        # classification is harness work, not simulated protocol work:
-        # nothing is charged for it, and with REPRO_FLOW_CACHE=0 every
-        # raise falls back to the linear guard scan.
+        # level by the kernel) freezes the packet and raises PacketRecv;
+        # the guards on that event demultiplex it.
         def link_upcall(nic, m):
             m.freeze()
-            hdr = m.pkthdr
-            if flow_cache.enabled:
-                entry = flow_cache.entry_for(classify_frame(m, header_len))
-                if hdr is not None:
-                    hdr.flow = entry
-            else:
-                entry = None
-            raise_flow(link_event, entry, nic, m)
+            raise_event(link_event, nic, m)
         bottom.upcall = link_upcall
 
         if self.ethernet is not None:
@@ -194,15 +182,11 @@ class PlexusStack:
                 link_event, raw_ip_handler, link_node, graph.node("ip"),
                 guard=None, mode=mode, label="ip-input")
 
-        # IP -> {UDP, TCP, ICMP} (guards on the protocol field).  The
-        # packet's flow entry (attached at the link layer) rides along;
-        # reassembled datagrams carry none and scan linearly.
+        # IP -> {UDP, TCP, ICMP} (guards on the protocol field).
         ip_event = self.ip_recv_event
 
         def ip_upcall(protocol, m, off, src, dst):
-            hdr = m.pkthdr
-            raise_flow(ip_event, hdr.flow if hdr is not None else None,
-                       protocol, m, off, src, dst)
+            raise_event(ip_event, protocol, m, off, src, dst)
         self.ip.upcall = ip_upcall
 
         def ip_udp_handler(protocol, m, off, src, dst):
@@ -215,9 +199,7 @@ class PlexusStack:
         tcp_event = self.tcp_recv_event
 
         def ip_tcp_handler(protocol, m, off, src, dst):
-            hdr = m.pkthdr
-            raise_flow(tcp_event, hdr.flow if hdr is not None else None,
-                       m, off, src, dst)
+            raise_event(tcp_event, m, off, src, dst)
         graph.install(
             ip_event, ip_tcp_handler, graph.node("ip"), graph.node("tcp"),
             guard=filters.ip_protocol_guard(IPPROTO_TCP), mode=mode,
@@ -231,9 +213,8 @@ class PlexusStack:
             label="icmp-input")
 
         # TCP node -> standard implementation, excluding ports claimed by
-        # special implementations or IP-level redirects (live sets; the
-        # TCP manager invalidates this event -- replacing its handler
-        # snapshot, which flow-cache plans key on -- whenever they change).
+        # special implementations or IP-level redirects (live sets, read
+        # by the guard on every raise).
         tcp_manager = self.tcp_manager
 
         def tcp_standard_guard(m, off, src_ip, dst_ip):
@@ -262,9 +243,7 @@ class PlexusStack:
         def udp_upcall(m, off, src_ip, src_port, dst_ip, dst_port):
             if dst_port in udp_manager.diverted_ports:
                 return
-            hdr = m.pkthdr
-            raise_flow(udp_event, hdr.flow if hdr is not None else None,
-                       m, off, src_ip, src_port, dst_ip, dst_port)
+            raise_event(udp_event, m, off, src_ip, src_port, dst_ip, dst_port)
         self.udp.upcall = udp_upcall
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ point-to-point testbeds to programmable multi-hop fabrics.  A
 :class:`SwitchHost` is a SPIN kernel whose only "application" is a
 match-action pipeline (tables of exact and longest-prefix rules, actions
 forward / drop / modify-field / count) raised through the ordinary
-dispatcher -- so the flow cache, the codegen rungs, and the chaos
+dispatcher -- so guard-scan dispatch, its cost accounting, and the chaos
 conservation invariants all apply to switches exactly as they do to end
 hosts.
 

@@ -5,7 +5,7 @@ timeline (attaching any of them never changes a fingerprint):
 
 * :mod:`repro.obs.registry` -- a central :class:`MetricsRegistry` of
   named counters/gauges/histograms behind a stable dotted namespace
-  (``spin.flowcache.evictions``, ``hw.nic.rx_filtered``, ...) with a
+  (``spin.dispatcher.raises``, ``hw.nic.rx_filtered``, ...) with a
   JSON snapshot API.  Components expose ``register_metrics(registry)``;
   :func:`repro.obs.wire.instrument_testbed` wires a whole testbed.
 * :mod:`repro.obs.profiler` -- a simulated-CPU profiler that intercepts

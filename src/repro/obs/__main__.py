@@ -11,11 +11,7 @@ the metrics-registry snapshot, and/or the span timeline.  ``--require``
 exits non-zero unless every named charge category shows up in the
 profile (``device-io`` is an alias for the driver categories), which is
 how CI asserts the flamegraph actually contains the paper's Figure 6
-cost classes.  A requirement may also name a *metrics* condition
-(:data:`METRIC_REQUIREMENTS`): ``compiled-path`` passes only when the
-registry snapshot shows raises actually served by generated code, which
-is how CI asserts the codegen fast path was exercised rather than
-silently skipped.  ``--check-schema`` instruments both OS models and
+cost classes.  ``--check-schema`` instruments both OS models and
 fails if any registered metric is missing from the documented export
 schema.
 """
@@ -33,14 +29,6 @@ from .wire import instrument_testbed
 
 #: ``--require`` aliases: one name standing for any of several categories.
 CATEGORY_ALIASES = {"device-io": ("driver", "driver-pio")}
-
-#: ``--require`` names satisfied by a *nonzero metric* instead of a
-#: charge category: the named requirement passes when any listed
-#: registry metric is > 0 in the snapshot.
-METRIC_REQUIREMENTS = {
-    "compiled-path": ("spin.flowcache.compiled.replays",
-                      "spin.flowcache.compiled.scan_raises"),
-}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -110,27 +98,10 @@ def profile_workload(name: str, quick: bool = True, with_spans: bool = False):
     return record, state["profiler"], state["registry"], state.get("tracer")
 
 
-def _missing_categories(required: List[str], present,
-                        metrics=None) -> List[str]:
-    """Required names absent from the profile (and metrics snapshot).
-
-    ``present`` holds the charged categories; ``metrics`` is the
-    registry snapshot consulted for :data:`METRIC_REQUIREMENTS` names,
-    which are satisfied by any listed metric being nonzero.
-    """
-    def metric_value(metric):
-        entry = (metrics or {}).get(metric)
-        if isinstance(entry, dict):  # registry snapshot {"type", "value"}
-            return entry.get("value")
-        return entry
-
+def _missing_categories(required: List[str], present) -> List[str]:
+    """Required names absent from the profile's charged categories."""
     missing = []
     for name in required:
-        if name in METRIC_REQUIREMENTS:
-            wanted = METRIC_REQUIREMENTS[name]
-            if not any(metric_value(metric) for metric in wanted):
-                missing.append(name)
-            continue
         wanted = CATEGORY_ALIASES.get(name, (name,))
         if not any(category in present for category in wanted):
             missing.append(name)
@@ -177,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.require:
         required = [part.strip() for part in args.require.split(",") if part.strip()]
-        missing = _missing_categories(required, categories, registry.snapshot())
+        missing = _missing_categories(required, categories)
         if missing:
             print("MISSING required categories: %s" % ", ".join(missing), file=sys.stderr)
             return 1

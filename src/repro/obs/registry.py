@@ -228,7 +228,7 @@ class MetricsRegistry:
     def _declare(self, name: str, kind: str, description: str) -> None:
         if not _NAME_RE.match(name):
             raise MetricError(
-                "invalid metric name %r: want dotted lowercase like 'spin.flowcache.hits'" % name
+                "invalid metric name %r: want dotted lowercase like 'spin.dispatcher.raises'" % name
             )
         if name in self._declared:
             raise DuplicateMetricError(

@@ -78,21 +78,8 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "slo.requests.completed": ("gauge", "requests begun and ended through the lifecycle layer"),
     "slo.requests.open": ("gauge", "requests begun but not yet ended"),
     "spin.dispatcher.events": ("gauge", "declared event names"),
-    "spin.dispatcher.raises": ("gauge", "event raises (linear or compiled)"),
+    "spin.dispatcher.raises": ("gauge", "event raises"),
     "spin.dispatcher.invocations": ("gauge", "handler invocations"),
-    "spin.flowcache.capacity": ("gauge", "flow cache LRU capacity"),
-    "spin.flowcache.compiled.enabled": ("gauge", "hosts compiling plans/scans to generated code"),
-    "spin.flowcache.compiled.plans": ("gauge", "flow plans compiled to generated functions"),
-    "spin.flowcache.compiled.replays": ("gauge", "raises served by a generated plan function"),
-    "spin.flowcache.compiled.scan_raises": ("gauge", "raises served by a generated scan function"),
-    "spin.flowcache.compiled.scans": ("gauge", "handler snapshots compiled to generated scan functions"),
-    "spin.flowcache.compiled.shape_hits": ("gauge", "compilations reusing a shape the cache already built"),
-    "spin.flowcache.enabled": ("gauge", "flow caches enabled (1 per armed host)"),
-    "spin.flowcache.entries": ("gauge", "live flow cache entries"),
-    "spin.flowcache.evictions": ("gauge", "flow entries evicted by the LRU"),
-    "spin.flowcache.hits": ("gauge", "raises replayed from a compiled plan"),
-    "spin.flowcache.invalidations": ("gauge", "plans dropped on generation mismatch"),
-    "spin.flowcache.misses": ("gauge", "raises that walked the handler list"),
     "spin.mbuf.allocated": ("gauge", "mbufs (chain links) ever allocated"),
     "spin.mbuf.chains": ("gauge", "packet chains ever allocated"),
     "spin.mbuf.freed": ("gauge", "mbufs freed"),

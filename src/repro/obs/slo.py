@@ -23,8 +23,7 @@ lifecycle machinery both views share:
   NIC-ring wait, propagation, and (retransmit) stall.  Every interval
   between consecutive waypoints is attributed to exactly one component,
   so the component sum equals the end-to-end latency bit-exactly in
-  integer nanoseconds -- the invariant ``tests/test_slo.py`` enforces
-  across all three flow-cache rungs.
+  integer nanoseconds -- the invariant ``tests/test_slo.py`` enforces.
 
 Attribution convention: the cost-charging discipline runs kernel code
 synchronously (push/pop at one instant) and then *holds* the CPU for the

@@ -86,10 +86,9 @@ _FAR = float("inf")
 def sim_parallel_enabled() -> bool:
     """False when ``REPRO_SIM_PARALLEL=0`` selects the serial oracle.
 
-    Mirrors ``REPRO_FLOW_CACHE`` / ``REPRO_FLOW_COMPILE``: the parallel
-    executor is on by default and the knob drops the *same* partitioned
-    round algorithm onto the in-process serial executor, whose results
-    the parallel ones must match bit-for-bit.
+    The parallel executor is on by default; the knob drops the *same*
+    partitioned round algorithm onto the in-process serial executor,
+    whose results the parallel ones must match bit-for-bit.
     """
     return os.environ.get("REPRO_SIM_PARALLEL", "1").lower() not in (
         "0", "false", "no", "off")

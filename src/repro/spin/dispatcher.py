@@ -28,8 +28,6 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.cpu import THREAD_PRIORITY, ChargeError
-from .codegen import compile_plan, compile_scan
-from .flowcache import CompiledPlan, FlowCache, FlowEntry
 
 __all__ = ["Dispatcher", "EventDecl", "HandlerHandle", "DispatchError"]
 
@@ -103,8 +101,7 @@ class EventDecl:
     allocating on the hot path.
     """
 
-    __slots__ = ("dispatcher", "name", "handlers", "raise_count", "_snapshot",
-                 "generation", "_scan")
+    __slots__ = ("dispatcher", "name", "handlers", "raise_count", "_snapshot")
 
     def __init__(self, dispatcher: "Dispatcher", name: str):
         self.dispatcher = dispatcher
@@ -112,33 +109,14 @@ class EventDecl:
         self.handlers: List[HandlerHandle] = []
         self.raise_count = 0
         self._snapshot: Tuple[HandlerHandle, ...] = ()
-        #: dispatcher-wide monotonic epoch stamped on every bump (install,
-        #: uninstall, explicit ``Dispatcher.invalidate_event``).  Epochs
-        #: never recur -- not across uninstall/reinstall, not across
-        #: events -- unlike the earlier per-event +1 counter, whose value
-        #: an uninstall/reinstall pair could coincidentally restore.
-        self.generation = 0
-        #: compiled flowless fast path: ``(snapshot, fn)`` from
-        #: ``repro.spin.codegen``, cleared on every bump.
-        self._scan = None
-
-    def _bump(self) -> None:
-        # A *fresh* snapshot tuple even when the handler list is
-        # unchanged: compiled artifacts (plans and scans) validate by
-        # snapshot identity, so replacing the tuple is what invalidates
-        # them.  Their own reference keeps the old tuple alive, making
-        # id-reuse aliasing impossible.
-        self._snapshot = tuple(self.handlers)
-        self._scan = None
-        self.generation = next(self.dispatcher._epochs)
 
     def _append(self, handle: HandlerHandle) -> None:
         self.handlers.append(handle)
-        self._bump()
+        self._snapshot = tuple(self.handlers)
 
     def _remove(self, handle: HandlerHandle) -> None:
         self.handlers.remove(handle)
-        self._bump()
+        self._snapshot = tuple(self.handlers)
 
     def __repr__(self) -> str:
         return "<Event %s (%d handlers)>" % (self.name, len(self.handlers))
@@ -154,31 +132,13 @@ class Dispatcher:
         self.events: Dict[str, EventDecl] = {}
         self.total_raises = 0
         self.total_invocations = 0
-        self.flow_cache = FlowCache()
-        #: source of event generations: one monotonic epoch stream per
-        #: dispatcher, shared by every event, so no generation value is
-        #: ever issued twice (see EventDecl.generation).
-        self._epochs = itertools.count(1)
 
     def register_metrics(self, registry) -> None:
-        """Publish dispatcher + flow-cache counters on a metrics registry."""
+        """Publish the dispatcher counters on a metrics registry."""
         registry.source("spin.dispatcher.raises", lambda: self.total_raises)
         registry.source("spin.dispatcher.invocations",
                         lambda: self.total_invocations)
         registry.source("spin.dispatcher.events", lambda: len(self.events))
-        self.flow_cache.register_metrics(registry)
-
-    def invalidate_event(self, event: EventDecl) -> None:
-        """Invalidate every compiled artifact recorded for ``event``.
-
-        Managers call this when live state a guard reads (e.g. the TCP
-        special/diverted port sets) changes without an install on the
-        event itself.  The bump replaces the event's snapshot tuple (the
-        identity compiled plans and scans validate against) and stamps a
-        fresh epoch; artifacts for other events stay valid -- no global
-        flush.
-        """
-        event._bump()
 
     # -- declaration ------------------------------------------------------
 
@@ -217,104 +177,19 @@ class Dispatcher:
         """Raise ``event`` with ``args`` (plain code; charges CPU).
 
         Returns the number of handlers that matched (ran inline or were
-        delegated to a thread).  The hot raise is a compiled scan -- one
-        generated function per handler-snapshot shape (see
-        ``repro.spin.codegen``) -- validated by snapshot identity;
-        everything else funnels through :meth:`_raise_cold`.
+        delegated to a thread).  Every raise scans the event's handler
+        snapshot, evaluating each guard.  cpu.charge / begin / end /
+        recharge are inlined below (exact bodies, exact order): at one
+        dispatch per simulated packet hop the call frames themselves
+        dominate host-side dispatch time.
         """
         try:
-            scan = event._scan
+            snapshot = event._snapshot
         except AttributeError:
             raise DispatchError(
                 "raise_event requires an EventDecl capability") from None
-        if scan is not None and scan[0] is event._snapshot:
-            return scan[1](args)
-        return self._raise_cold(event, None, args)
-
-    # -- flow-cached raising ------------------------------------------------------
-
-    def raise_flow(self, event: EventDecl, flow: Optional[FlowEntry],
-                   *args) -> int:
-        """Raise ``event`` along a classified flow (plain code).
-
-        Semantically identical to :meth:`raise_event` -- same handlers
-        run, same statistics move, same simulated costs are charged in
-        the same order -- but on a cache hit the recorded guard verdicts
-        run as a generated straight-line function (or, under
-        ``REPRO_FLOW_COMPILE=0``, through the interpreted replay loop)
-        instead of calling each guard, which is where the host-side
-        demultiplexing time goes.  ``flow`` is the packet's
-        :class:`FlowEntry` (``None`` falls back to the flowless scan).
-        """
-        if flow is None:
-            return self.raise_event(event, *args)
-        plan = flow.plans.get(event)
-        # Validity is snapshot *identity*: immune to the counter
-        # coincidences a wrapped/reset generation could produce (a stale
-        # plan's reference keeps its old tuple alive, so ids never alias).
-        if plan is not None and plan.snapshot is event._snapshot:
-            self.flow_cache.hits += 1
-            fn = plan.fn
-            if fn is not None:
-                return fn(args)
-            return self._replay_plan(event, plan.steps, args)
-        return self._raise_cold(event, flow, args)
-
-    def _raise_cold(self, event: EventDecl, flow: Optional[FlowEntry],
-                    args) -> int:
-        """Every raise with no valid compiled artifact lands here.
-
-        This is the *single* divergence point of the three delivery
-        modes (PR 5 had to instrument three hand-inlined paths; any
-        verdict-ordering change now happens once):
-
-        * flowless + codegen enabled: compile and immediately run the
-          event's scan function;
-        * flowless otherwise: the interpreted linear walk;
-        * flow given: classify the miss (absent plan) or invalidation
-          (stale plan), run the interpreted reference scan recording
-          verdicts, then cache -- and, when enabled, compile -- the plan.
-        """
-        cache = self.flow_cache
-        snapshot = event._snapshot
-        record = None
-        if flow is not None:
-            if event in flow.plans:
-                cache.invalidations += 1
-            else:
-                cache.misses += 1
-            record = []
-        elif cache.compile_enabled:
-            fn = compile_scan(self, event, snapshot)
-            if fn is not None:
-                event._scan = (snapshot, fn)
-                return fn(args)
-        matched, cacheable = self._scan_linear(event, snapshot, args, record)
-        # A raise in which any guard threw is not cached (failure
-        # accounting must re-run per packet), nor is one that disturbed
-        # the event mid-raise (the verdicts describe a dead snapshot).
-        if record is not None and cacheable and event._snapshot is snapshot:
-            plan = CompiledPlan(event.generation, snapshot, tuple(record))
-            if cache.compile_enabled:
-                plan.fn = compile_plan(self, event, plan.steps)
-            flow.plans[event] = plan
-        return matched
-
-    def _scan_linear(self, event: EventDecl, snapshot, args,
-                     record) -> Tuple[int, bool]:
-        """The interpreted linear scan: the reference semantics.
-
-        Returns ``(matched, cacheable)``; appends ``(handle, verdict)``
-        pairs to ``record`` when recording for a flow plan.  This is the
-        one interpreted implementation both the ``REPRO_FLOW_COMPILE=0``
-        replay mode and the ``REPRO_FLOW_CACHE=0`` oracle exercise per
-        raise, and the generated code's semantic template.
-        cpu.charge / begin / end / recharge are inlined below (exact
-        bodies, exact order): at one dispatch per simulated packet hop
-        the call frames themselves dominate host-side dispatch time.
-        """
-        costs = self.host.costs
         cpu = self.host.cpu
+        costs = self.host.costs
         stack = cpu._stack
         times = cpu.category_times
         guard_cost = costs.guard_eval
@@ -322,7 +197,6 @@ class Dispatcher:
         event.raise_count += 1
         self.total_raises += 1
         matched = 0
-        cacheable = True
         # Off-by-default observability hook (repro.obs): one attribute
         # load + None check per raise when no profiler is attached.
         profile = cpu.profile
@@ -346,17 +220,12 @@ class Dispatcher:
                     try:
                         if not guard(*args):
                             handle.guard_rejections += 1
-                            if record is not None:
-                                record.append((handle, False))
                             continue
                     except Exception as exc:  # guard failure: no match
                         handle.failures += 1
                         handle.last_error = exc
-                        cacheable = False
                         continue
                 matched += 1
-                if record is not None:
-                    record.append((handle, True))
                 if not stack:
                     raise ChargeError(
                         "cpu.charge() outside begin()/end(); protocol code "
@@ -390,80 +259,6 @@ class Dispatcher:
                 if limit is not None and spent > limit:
                     # Premature termination: only the allotment is consumed
                     # (paper sec. 3.3).
-                    handle.terminations += 1
-                    stack[-1] += limit
-                else:
-                    stack[-1] += spent
-        finally:
-            if profile is not None:
-                profile.pop()
-        return matched, cacheable
-
-    def _replay_plan(self, event: EventDecl, steps, args) -> int:
-        """Interpreted plan replay: guards skipped, costs charged verbatim.
-
-        The ``REPRO_FLOW_COMPILE=0`` path (and the fallback for plans
-        past the codegen step cap) -- PR 2's behavior, preserved as the
-        mid-rung of the bit-exactness ladder.  The charge sequence below
-        is ``cpu.charge`` inlined -- the exact float additions, in the
-        exact order, the linear scan performs -- so simulated time and
-        category accounting stay bit-identical.
-        """
-        cpu = self.host.cpu
-        stack = cpu._stack
-        if not stack:
-            # No open accumulator: the linear path's first charge would
-            # raise ChargeError at the same point; let it.
-            return self.raise_event(event, *args)
-        costs = self.host.costs
-        guard_cost = costs.guard_eval
-        handler_cost = costs.dispatch_per_handler
-        times = cpu.category_times
-        event.raise_count += 1
-        self.total_raises += 1
-        matched = 0
-        profile = cpu.profile
-        if profile is not None:
-            profile.push(event.name)
-        try:
-            for handle, ok in steps:
-                if not handle.installed:
-                    continue
-                if handle.guard is not None:
-                    stack[-1] += guard_cost
-                    try:
-                        times["dispatch"] += guard_cost
-                    except KeyError:
-                        times["dispatch"] = guard_cost
-                    if not ok:
-                        handle.guard_rejections += 1
-                        continue
-                matched += 1
-                stack[-1] += handler_cost
-                try:
-                    times["dispatch"] += handler_cost
-                except KeyError:
-                    times["dispatch"] = handler_cost
-                if handle.mode == "thread":
-                    self._delegate_to_thread(handle, args)
-                    continue
-                handle.invocations += 1
-                self.total_invocations += 1
-                stack.append(0.0)
-                marker = len(stack)
-                try:
-                    handle.handler(*args)
-                except Exception as exc:  # containment: may not crash kernel
-                    handle.failures += 1
-                    handle.last_error = exc
-                finally:
-                    if marker != len(stack):
-                        raise ChargeError(
-                            "mismatched cpu.end(): marker %d but stack depth "
-                            "%d" % (marker, len(stack)))
-                    spent = stack.pop()
-                limit = handle.time_limit
-                if limit is not None and spent > limit:
                     handle.terminations += 1
                     stack[-1] += limit
                 else:

@@ -56,15 +56,12 @@ class _Cluster:
 class PacketHeader:
     """Per-packet metadata carried by the first mbuf of a chain."""
 
-    __slots__ = ("length", "rcvif", "timestamp", "flow")
+    __slots__ = ("length", "rcvif", "timestamp")
 
     def __init__(self, length: int = 0, rcvif=None, timestamp: Optional[float] = None):
         self.length = length
         self.rcvif = rcvif
         self.timestamp = timestamp
-        #: the packet's FlowEntry (set by the link layer on receive);
-        #: carries the compiled delivery path from link to application.
-        self.flow = None
 
 
 class Mbuf:

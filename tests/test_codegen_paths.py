@@ -1,66 +1,31 @@
-"""Generated delivery paths (codegen): the three-way bit-exactness ladder.
+"""Dispatch corner cases, each checked across three independent kernels.
 
-The dispatcher serves event raises three ways -- generated Python fast
-paths (default), interpreted plan replay (``REPRO_FLOW_COMPILE=0``), and
-the uncached linear scan (``REPRO_FLOW_CACHE=0``) -- and the contract is
-that the three are *observably identical*: same handlers in the same
-order, same per-handle statistics, bit-identical simulated time and
-category accounting, identical profiler stacks.  These tests drive the
-corner cases directly (thread delegation, time limits, guard exceptions,
-mid-raise uninstalls), plus the machinery around the ladder: shape
-sharing, the step-cap fallback, generation/epoch hygiene, the
-prechange-relative bench gate, and the obs ``compiled-path`` metric
-requirement.
+These scenarios once compared three host-side delivery paths against one
+another.  There is now a single path -- ``Dispatcher.raise_event``'s guard
+scan -- so each scenario runs on three fresh kernels instead, which must
+agree bit-for-bit (the dispatcher keeps no process-wide state that could
+leak between kernels), and then checks the behaviour the scenario is
+about: thread delegation, time limits, guard and handler exceptions, and
+a mid-raise uninstall.  The class and test names are kept from the
+earlier comparison so the cases stay traceable.
 """
 
-import pytest
-
-from repro.bench.regression import (DEFAULT_FAIL_PCT, bench_fail_pct)
-from repro.bench.wallclock import (compare_to_baseline, host_fingerprint,
-                                   run_suite)
-from repro.hw.cpu import ChargeError
-from repro.obs.__main__ import _missing_categories
-from repro.obs.profiler import CpuProfiler
-from repro.obs.registry import MetricsRegistry
 from repro.sim import Engine
 from repro.spin import SpinKernel
-from repro.spin.codegen import MAX_COMPILED_STEPS, shape_cache_size
-from repro.spin.flowcache import FlowEntry
 
-MODES = ("compiled", "replay", "linear")
+SIDES = 3
 
 
 class _Side:
-    """One kernel driven through a scenario under one ladder rung.
+    """One kernel driven through a scenario."""
 
-    ``compiled`` and ``replay`` raise along held :class:`FlowEntry`
-    objects, one per flow key (guards on flow-routed events are pure
-    functions of the key -- the flowcache contract); ``linear`` uses the
-    flowless ``raise_event``.  ``send_flowless`` raises without a flow on
-    every rung, which on the compiled rung exercises the generated *scan*
-    (live guard calls) rather than a recorded plan.  ``compile_enabled``
-    is forced per side so the tests are independent of the process
-    environment.
-    """
-
-    def __init__(self, mode: str):
-        assert mode in MODES
-        self.mode = mode
+    def __init__(self):
         self.engine = Engine()
-        # One shared kernel name: profiler folded stacks lead with it,
-        # and the parity test compares them byte-for-byte across modes.
         self.kernel = SpinKernel(self.engine, "gen-kernel")
         self.dispatcher = self.kernel.dispatcher
-        self.dispatcher.flow_cache.compile_enabled = (mode == "compiled")
         self.event = self.dispatcher.declare("Gen.Packet")
-        self.flows = {}
         self.handles = []
         self.log = []
-
-    def flow(self, key):
-        if key not in self.flows:
-            self.flows[key] = FlowEntry((key,))
-        return self.flows[key]
 
     def run(self, fn):
         self.engine.run_process(self.kernel.kernel_path(fn), name="gen-op")
@@ -77,21 +42,14 @@ class _Side:
         return self.handles[-1]
 
     def send(self, key):
-        if self.mode == "linear":
-            self.run(lambda: self.dispatcher.raise_event(self.event, key))
-        else:
-            self.run(lambda: self.dispatcher.raise_flow(
-                self.event, self.flow(key), key))
-
-    def send_flowless(self, key):
         self.run(lambda: self.dispatcher.raise_event(self.event, key))
 
 
 def _assert_equivalent(sides):
-    """Every observable except the flow-cache counters must agree."""
+    """Every observable must agree across the sides."""
     ref = sides[0]
     for side in sides[1:]:
-        assert side.log == ref.log, (side.mode, ref.mode)
+        assert side.log == ref.log
         # Bit-identical simulated time and per-category accounting.
         assert side.engine.now == ref.engine.now
         assert (dict(side.kernel.cpu.category_times)
@@ -109,45 +67,15 @@ def _assert_equivalent(sides):
 
 
 def _three_way(scenario):
-    """Run ``scenario(side)`` under all three modes and cross-check."""
-    sides = [_Side(mode) for mode in MODES]
+    """Run ``scenario(side)`` on three fresh kernels and cross-check."""
+    sides = [_Side() for _ in range(SIDES)]
     for side in sides:
         scenario(side)
     _assert_equivalent(sides)
-    # The scenario really did exercise the rung it claims to.
-    assert sides[0].dispatcher.flow_cache.compile_enabled
-    assert not sides[1].dispatcher.flow_cache.compile_enabled
     return sides
 
 
-# ---------------------------------------------------------------------------
-# directed three-way equivalence
-# ---------------------------------------------------------------------------
-
 class TestThreeWayEquivalence:
-    def test_plain_handlers_replay_compiled(self):
-        def scenario(side):
-            side.install()
-            side.install(guard=lambda key: key % 2 == 0)
-            for key in (0, 1, 2, 3, 0, 1, 2, 3):
-                side.send(key)
-        sides = _three_way(scenario)
-        cache = sides[0].dispatcher.flow_cache
-        assert cache.compiled_plans >= 4   # one plan per flow key
-        assert cache.compiled_replays == 4  # second pass over the keys
-        assert sides[1].dispatcher.flow_cache.compiled_replays == 0
-        assert sides[1].dispatcher.flow_cache.hits == 4  # interpreted replay
-
-    def test_flowless_scan_matches_interpreter(self):
-        def scenario(side):
-            side.install()
-            side.install(guard=lambda value: value % 2 == 0)
-            for value in range(6):
-                side.send_flowless(value)
-        sides = _three_way(scenario)
-        assert sides[0].dispatcher.flow_cache.compiled_scan_raises == 6
-        assert sides[1].dispatcher.flow_cache.compiled_scan_raises == 0
-
     def test_thread_mode_delegates_identically(self):
         def scenario(side):
             side.install()
@@ -155,7 +83,15 @@ class TestThreeWayEquivalence:
             side.install(mode="thread", guard=lambda key: key > 0)
             for key in (0, 1, 1, 0):
                 side.send(key)
-        _three_way(scenario)
+        sides = _three_way(scenario)
+        for side in sides:
+            assert side.handles[0].invocations == 4
+            assert side.handles[1].invocations == 4
+            assert side.handles[2].invocations == 2
+            assert side.handles[2].guard_rejections == 2
+            # Delegated handlers ran too, each in a thread of its own.
+            slots = sorted(slot for slot, _ in side.log)
+            assert slots == [0] * 4 + [1] * 4 + [2] * 2
 
     def test_time_limit_terminations(self):
         def scenario(side):
@@ -168,24 +104,7 @@ class TestThreeWayEquivalence:
         sides = _three_way(scenario)
         for side in sides:
             assert side.handles[0].terminations == 3
-
-    def test_guard_exception_is_never_cached(self):
-        def scenario(side):
-            def bad_guard(key):
-                raise ValueError("guard blew up")
-            side.install(guard=bad_guard)
-            side.install()
-            for _ in range(3):
-                side.send(0)
-        sides = _three_way(scenario)
-        for side in sides:
-            assert side.handles[0].failures == 3
-            assert side.handles[0].invocations == 0
             assert side.handles[1].invocations == 3
-        # Failure accounting must re-run per packet: a raise in which a
-        # guard threw records no plan, so the compiled rung never replays.
-        assert sides[0].flows[0].plans == {}
-        assert sides[0].dispatcher.flow_cache.compiled_replays == 0
 
     def test_generated_scan_contains_guard_exceptions(self):
         def scenario(side):
@@ -194,29 +113,12 @@ class TestThreeWayEquivalence:
             side.install(guard=bad_guard)
             side.install()
             for value in range(3):
-                side.send_flowless(value)
+                side.send(value)
         sides = _three_way(scenario)
         for side in sides:
             assert side.handles[0].failures == 3
+            assert side.handles[0].invocations == 0
             assert side.handles[1].invocations == 3
-        assert sides[0].dispatcher.flow_cache.compiled_scan_raises == 3
-
-    def test_guard_truthiness_exception_contained(self):
-        # The generated scan keeps ``not guard(...)`` inside the try: a
-        # verdict object whose __bool__ throws is contained exactly as
-        # the interpreter contains it.
-        class Explosive:
-            def __bool__(self):
-                raise RuntimeError("no verdict")
-
-        def scenario(side):
-            side.install(guard=lambda value: Explosive())
-            side.install()
-            side.send_flowless(0)
-            side.send_flowless(1)
-        sides = _three_way(scenario)
-        for side in sides:
-            assert side.handles[0].failures == 2
 
     def test_handler_exception_contained(self):
         def scenario(side):
@@ -247,303 +149,8 @@ class TestThreeWayEquivalence:
                 side.send(0)
         sides = _three_way(scenario)
         for side in sides:
-            # Send 2 replays the recorded plan (generated code on the
-            # compiled rung); the uninstall lands before the victim's
-            # step, so it saw send 1 only and never runs again.
+            # The uninstall lands before the victim's turn in send 2, so
+            # it saw send 1 only and never runs again.
             assert side.handles[1].invocations == 1
             assert not side.handles[1].installed
-
-    def test_raise_outside_kernel_context_raises_everywhere(self):
-        for mode in MODES:
-            side = _Side(mode)
-            side.install(guard=lambda key: True)
-            side.send(0)  # warm: compiled rung records + compiles the plan
-            with pytest.raises(ChargeError):
-                if mode == "linear":
-                    side.dispatcher.raise_event(side.event, 0)
-                else:
-                    side.dispatcher.raise_flow(side.event, side.flow(0), 0)
-
-    def test_profiler_sees_identical_stacks(self):
-        folded = {}
-        for mode in MODES:
-            side = _Side(mode)
-            profiler = CpuProfiler()
-            profiler.attach([side.kernel])
-            side.install()
-            side.install(guard=lambda key: key != 1)
-            for key in (0, 1, 2, 3, 0, 1, 2, 3):
-                side.send(key)
-            folded[mode] = profiler.folded_text()
-        assert folded["compiled"] == folded["replay"] == folded["linear"]
-        assert "Gen.Packet" in folded["compiled"]
-
-    def test_metrics_snapshot_identical_modulo_flowcache(self):
-        snapshots = {}
-        for mode in MODES:
-            side = _Side(mode)
-            side.install()
-            side.install(guard=lambda key: key % 2 == 0)
-            for key in (0, 1, 2, 0, 1, 2):
-                side.send(key)
-            registry = MetricsRegistry()
-            side.dispatcher.register_metrics(registry)
-            side.kernel.cpu.register_metrics(registry)
-            snapshots[mode] = registry.snapshot()
-
-        # The flow-cache counters legitimately differ across rungs (that
-        # is what they measure); everything else must not.
-        def scrub(snapshot):
-            return {name: entry for name, entry in snapshot.items()
-                    if not name.startswith("spin.flowcache.")}
-        assert (scrub(snapshots["compiled"]) == scrub(snapshots["replay"])
-                == scrub(snapshots["linear"]))
-
-        # Within the cached rungs even hit/miss accounting agrees; only
-        # the compiled.* counters distinguish them.
-        def cache_only(snapshot):
-            return {name: entry for name, entry in snapshot.items()
-                    if name.startswith("spin.flowcache.")
-                    and not name.startswith("spin.flowcache.compiled.")}
-        assert (cache_only(snapshots["compiled"])
-                == cache_only(snapshots["replay"]))
-
-
-# ---------------------------------------------------------------------------
-# shape sharing and the step cap
-# ---------------------------------------------------------------------------
-
-class TestShapeCache:
-    def test_same_shape_shares_code_object(self):
-        side = _Side("compiled")
-        side.install()
-        side.install(guard=lambda key: True)
-        side.send("a")
-        side.send("b")
-        plan_a = side.flows["a"].plans[side.event]
-        plan_b = side.flows["b"].plans[side.event]
-        assert plan_a.fn is not plan_b.fn  # distinct bound factories...
-        assert plan_a.fn.__code__ is plan_b.fn.__code__  # ...one code object
-        assert side.dispatcher.flow_cache.compiled_shape_hits >= 1
-
-    def test_shape_cache_is_process_wide(self):
-        before = shape_cache_size()
-        side = _Side("compiled")
-        side.install()
-        side.send(0)
-        assert shape_cache_size() >= before  # grows at most per new shape
-
-    def test_step_cap_falls_back_to_interpreted_replay(self):
-        def scenario(side):
-            for _ in range(MAX_COMPILED_STEPS + 1):
-                side.install()
-            side.send(0)
-            side.send(0)
-        sides = _three_way(scenario)
-        compiled_side = sides[0]
-        plan = compiled_side.flows[0].plans[compiled_side.event]
-        assert len(plan.steps) == MAX_COMPILED_STEPS + 1
-        assert plan.fn is None  # past the cap: interpreted replay serves it
-        assert compiled_side.dispatcher.flow_cache.compiled_plans == 0
-        # Replays still count as cache hits even without generated code.
-        assert compiled_side.dispatcher.flow_cache.hits >= 1
-
-
-# ---------------------------------------------------------------------------
-# generations: eviction/re-admission must never resurrect a stale plan
-# ---------------------------------------------------------------------------
-
-class TestGenerationHygiene:
-    def test_epochs_never_recur(self, kernel):
-        """Uninstall/reinstall may not restore an old generation value."""
-        event = kernel.dispatcher.declare("Epoch.Evt")
-        seen = set()
-        for _ in range(5):
-            handle = kernel.dispatcher.install(event, lambda *a: None)
-            assert event.generation not in seen
-            seen.add(event.generation)
-            handle.uninstall()
-            assert event.generation not in seen
-            seen.add(event.generation)
-
-    def test_epochs_shared_across_events(self, kernel):
-        a = kernel.dispatcher.declare("Epoch.A")
-        b = kernel.dispatcher.declare("Epoch.B")
-        kernel.dispatcher.install(a, lambda *x: None)
-        kernel.dispatcher.install(b, lambda *x: None)
-        assert a.generation != b.generation
-
-    def test_forged_generation_cannot_resurrect_stale_plan(self):
-        """Regression: plan validity is snapshot identity, so even a plan
-        whose recorded generation coincides with the event's current one
-        (the failure mode of a wrapped or reset counter) must not replay.
-        """
-        side = _Side("compiled")
-        hits = []
-        side.install(handler=lambda *a: hits.append("old"))
-        side.send(0)
-        stale_plan = side.flows[0].plans[side.event]
-        assert stale_plan.snapshot is side.event._snapshot
-
-        # The entry (and its plan) stays held across the uninstall --
-        # an in-flight packet header keeps FlowEntry objects alive even
-        # after cache eviction.
-        side.run(side.handles[0].uninstall)
-        side.install(handler=lambda *a: hits.append("new"))
-
-        # Forge the counter coincidence a non-monotonic generation could
-        # produce.  Identity validation must shrug it off.
-        stale_plan.generation = side.event.generation
-        assert side.flows[0].plans[side.event] is stale_plan
-        invalidations_before = side.dispatcher.flow_cache.invalidations
-        side.send(0)
-        assert hits == ["old", "new"]  # the *new* handler was delivered to
-        assert (side.dispatcher.flow_cache.invalidations
-                == invalidations_before + 1)
-        # And the entry now carries a fresh plan against the live snapshot.
-        assert side.flows[0].plans[side.event] is not stale_plan
-        assert side.flows[0].plans[side.event].snapshot is side.event._snapshot
-
-
-# ---------------------------------------------------------------------------
-# the bench gate: prechange-relative ratios fail, baseline drift informs
-# ---------------------------------------------------------------------------
-
-def _report(ratio: float, fingerprint=None):
-    """A fabricated schema-5 report whose workload runs at ``ratio`` times
-    its same-run prechange leg."""
-    return {
-        "quick": True,
-        "host": host_fingerprint(),
-        "workloads": {
-            "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0 * ratio},
-        },
-        "prechange": {
-            "w": {"fingerprint": fingerprint or {"f": 1},
-                  "events_per_sec": 100.0, "wall_s": 1.0},
-        },
-    }
-
-
-class TestPrechangeGate:
-    def test_seeded_regression_fails(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
-        rows = compare_to_baseline(_report(0.5), {})
-        assert not rows["w"]["ok"]
-        assert any("prechange" in err for err in rows["w"]["errors"])
-        assert rows["w"]["events_per_sec_vs_prechange"] == 0.5
-
-    def test_small_wobble_passes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
-        rows = compare_to_baseline(_report(0.95), {})
-        assert rows["w"]["ok"]
-        assert not rows["w"]["errors"]
-
-    def test_fingerprint_divergence_fails(self):
-        rows = compare_to_baseline(_report(2.0, fingerprint={"f": 2}), {})
-        assert not rows["w"]["ok"]
-        assert any("divergence" in err for err in rows["w"]["errors"])
-
-    def test_fail_pct_env_loosens(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FAIL_PCT", "60")
-        rows = compare_to_baseline(_report(0.5), {})
-        assert rows["w"]["ok"]
-        monkeypatch.setenv("REPRO_BENCH_FAIL_PCT", "garbage")
-        assert bench_fail_pct() == DEFAULT_FAIL_PCT
-        monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
-        assert bench_fail_pct() == DEFAULT_FAIL_PCT
-
-    def test_cross_machine_slowdown_is_labeled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_WARN_PCT", raising=False)
-        report = _report(1.0)
-        baseline = {
-            "host": {"python": "0.0.0", "machine": "vax"},
-            "quick": {"workloads": {
-                "w": {"fingerprint": {"f": 1}, "events_per_sec": 1000.0},
-            }},
-        }
-        rows = compare_to_baseline(report, baseline)
-        assert rows["w"]["ok"]  # committed-baseline slowdowns never fail
-        assert any("different or unknown host" in warning
-                   for warning in rows["w"]["warnings"])
-        # Same-host baselines keep the plain warning text.
-        baseline["host"] = report["host"]
-        rows = compare_to_baseline(report, baseline)
-        assert any("committed baseline" in w and "unknown host" not in w
-                   for w in rows["w"]["warnings"])
-
-    def test_run_suite_carries_host_and_prechange_leg(self):
-        suite = run_suite(quick=True, names=["dispatcher_micro"])
-        assert suite["host"] == host_fingerprint()
-        row = suite["comparison"]["dispatcher_micro"]
-        if suite.get("prechange"):  # codegen armed in this environment
-            leg = suite["prechange"]["dispatcher_micro"]
-            assert (leg["fingerprint"]
-                    == suite["workloads"]["dispatcher_micro"]["fingerprint"])
-            assert "events_per_sec_vs_prechange" in row
-
-
-# ---------------------------------------------------------------------------
-# obs: the compiled-path metric requirement
-# ---------------------------------------------------------------------------
-
-class TestCompiledPathRequirement:
-    SNAPSHOT_ON = {
-        "spin.flowcache.compiled.replays": {"type": "gauge", "value": 7},
-        "spin.flowcache.compiled.scan_raises": {"type": "gauge", "value": 0},
-    }
-    SNAPSHOT_OFF = {
-        "spin.flowcache.compiled.replays": {"type": "gauge", "value": 0},
-        "spin.flowcache.compiled.scan_raises": {"type": "gauge", "value": 0},
-    }
-
-    def test_satisfied_by_nonzero_metric(self):
-        missing = _missing_categories(
-            ["dispatch", "compiled-path"], {"dispatch": 1.0}, self.SNAPSHOT_ON)
-        assert missing == []
-
-    def test_zero_valued_snapshot_entries_do_not_satisfy(self):
-        # Snapshot values are {"type", "value"} dicts -- always truthy --
-        # so the requirement must unwrap them, not bool() them.
-        missing = _missing_categories(
-            ["compiled-path"], {"dispatch": 1.0}, self.SNAPSHOT_OFF)
-        assert missing == ["compiled-path"]
-
-    def test_absent_metrics_do_not_satisfy(self):
-        assert _missing_categories(["compiled-path"], {}, {}) == \
-            ["compiled-path"]
-        assert _missing_categories(["compiled-path"], {}, None) == \
-            ["compiled-path"]
-
-
-# ---------------------------------------------------------------------------
-# chaos: campaigns check the full ladder when codegen is armed
-# ---------------------------------------------------------------------------
-
-class TestChaosLadder:
-    def _spec(self):
-        from repro.chaos import CampaignSpec
-        from repro.hw.link import ImpairmentConfig
-        return CampaignSpec(
-            name="ladder", seed=977, os_name="spin", device="ethernet",
-            workload="tcp_bulk", scale=8_192, duration_us=2_000_000.0,
-            config=ImpairmentConfig(loss_good=0.02, duplicate_rate=0.02),
-            oracle=True)
-
-    def test_oracle_campaign_checks_both_rungs(self, monkeypatch):
-        from repro.chaos import run_campaign
-        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_FLOW_COMPILE", raising=False)
-        verdict = run_campaign(self._spec())
-        assert verdict["passed"], verdict["violations"]
-        assert not any("diverges" in v for v in verdict["violations"])
-
-    def test_interpreted_campaign_skips_replay_rung(self, monkeypatch):
-        # Under REPRO_FLOW_COMPILE=0 the primary run never used generated
-        # code, so only the REPRO_FLOW_CACHE=0 oracle applies -- and it
-        # must still match.
-        from repro.chaos import run_campaign
-        monkeypatch.setenv("REPRO_FLOW_COMPILE", "0")
-        verdict = run_campaign(self._spec())
-        assert verdict["passed"], verdict["violations"]
-        assert not any("diverges" in v for v in verdict["violations"])
+            assert side.handles[0].invocations == 4

@@ -1,13 +1,13 @@
-"""Compiled delivery paths (PR 2): flow cache, graph truth, bench knobs.
-
-Covers the tentpole and satellites of the compiled-path refactor:
+"""Graph truth, uninstall on a live flow, the baseline gate, TCP options.
 
 * the ``ProtocolGraph`` stays authoritative -- a direct
   ``HandlerHandle.uninstall()`` drops the edge from ``render()`` and the
   node in/out edge lists immediately;
-* ``REPRO_FLOW_CACHE=0`` falls back to linear dispatch with simulated
-  time bit-identical to the cached path;
-* flow-cache counters appear in the wallclock report (schema 2);
+* closing a UDP endpoint stops delivery to it on the very next packet of
+  an established flow;
+* the wall-clock report fails on fingerprint drift against the committed
+  baseline and only warns on throughput drift, labelling cross-machine
+  comparisons;
 * ``REPRO_BENCH_WARN_PCT`` tunes the throughput-regression warning;
 * the tracer decodes TCP options (MSS, window scale).
 """
@@ -16,12 +16,11 @@ import pytest
 
 from repro.bench.regression import DEFAULT_WARN_PCT, bench_warn_pct
 from repro.bench.testbed import build_testbed
-from repro.bench.wallclock import (WORKLOADS, compare_to_baseline,
-                                   run_workload)
+from repro.bench.wallclock import (compare_to_baseline, host_fingerprint,
+                                   run_suite)
 from repro.core import Credential, ProtocolGraph
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer, _decode_tcp_options
-from repro.spin.flowcache import FlowCache, flow_cache_enabled
 
 
 @ephemeral
@@ -69,72 +68,17 @@ class TestGraphStaysAuthoritative:
         with pytest.raises(Exception):
             handle.uninstall()
 
-    def test_install_bumps_generation(self, kernel):
-        event = kernel.dispatcher.declare("X.Evt")
-        before = event.generation
-        handle = kernel.dispatcher.install(event, lambda *a: None)
-        assert event.generation > before
-        during = event.generation
-        handle.uninstall()
-        assert event.generation > during
-
 
 # ---------------------------------------------------------------------------
-# flow cache: observability and the escape hatch
+# uninstall takes effect for a flow already in progress
 # ---------------------------------------------------------------------------
-
-def _udp_quick_fingerprint():
-    fn, quick, _full = WORKLOADS["udp_pingpong"]
-    record = fn(quick)
-    return record["fingerprint"], record["flow_cache"]
-
 
 class TestFlowCache:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
-        assert flow_cache_enabled()
-        assert FlowCache().enabled
-
-    def test_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        assert not flow_cache_enabled()
-        cache = FlowCache()
-        assert not cache.enabled
-        assert cache.entry_for(("k",)) is None
-
-    def test_cache_off_is_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
-        cached_fp, cached_counters = _udp_quick_fingerprint()
-        assert cached_counters["enabled"]
-        assert cached_counters["hits"] > 0
-
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        linear_fp, linear_counters = _udp_quick_fingerprint()
-        assert not linear_counters["enabled"]
-        assert linear_counters["hits"] == 0
-
-        # Replay charges identical simulated costs in identical order.
-        assert cached_fp == linear_fp
-
-    def test_hits_after_warmup(self, spin_pair):
-        bed = spin_pair
-        receiver = bed.stacks[1].udp_manager.bind(Credential("s"), 7000, _sink)
-        assert receiver is not None
-        sender = bed.stacks[0].udp_manager.bind(Credential("c"), 7001, _sink)
-
-        def send_one():
-            sender.send(b"x" * 16, bed.ip(1), 7000)
-        for _ in range(4):
-            bed.engine.run_process(bed.hosts[0].kernel_path(send_one))
-            bed.engine.run()
-        counters = bed.hosts[1].dispatcher.flow_cache.counters()
-        if counters["enabled"]:  # honours an externally-set escape hatch
-            assert counters["entries"] >= 1
-            # First packet of the flow records plans; later packets replay.
-            assert counters["hits"] > 0
-
+    # The name dates from when delivery cached per-flow plans; the case
+    # still guards that an established flow stops reaching a closed
+    # endpoint's handler on the next packet.
     def test_uninstall_invalidates_plan(self, spin_pair):
-        """After uninstalling a handler, cached flows must not call it."""
+        """After uninstalling a handler, later packets must not call it."""
         bed = spin_pair
         hits = []
 
@@ -157,16 +101,7 @@ class TestFlowCache:
         receiver.close()  # uninstalls the bound handler
         bed.engine.run_process(bed.hosts[0].kernel_path(send_one))
         bed.engine.run()
-        assert len(hits) == delivered_before  # stale plan did not replay
-
-    def test_counters_in_wallclock_report(self):
-        record = run_workload("dispatcher_micro", quick=True)
-        assert "flow_cache" in record
-        for key in ("enabled", "hits", "misses", "invalidations",
-                    "evictions", "entries"):
-            assert key in record["flow_cache"]
-        # The flow-cache section must not leak into the fingerprint.
-        assert "flow_cache" not in record["fingerprint"]
+        assert len(hits) == delivered_before
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +148,58 @@ class TestBenchWarnPct:
         monkeypatch.setenv("REPRO_BENCH_WARN_PCT", "60")
         rows = compare_to_baseline(report, baseline)
         assert not rows["w"]["warnings"]
+
+
+# ---------------------------------------------------------------------------
+# the committed-baseline gate
+# ---------------------------------------------------------------------------
+
+def _report(fingerprint=None):
+    return {
+        "quick": True,
+        "host": host_fingerprint(),
+        "workloads": {
+            "w": {"fingerprint": fingerprint or {"f": 1},
+                  "events_per_sec": 100.0, "wall_s": 1.0},
+        },
+    }
+
+
+class TestBaselineGate:
+    def test_fingerprint_drift_fails(self):
+        baseline = {"quick": {"workloads": {
+            "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0},
+        }}}
+        rows = compare_to_baseline(_report(fingerprint={"f": 2}), baseline)
+        assert not rows["w"]["ok"]
+        assert any("drifted" in err for err in rows["w"]["errors"])
+        assert compare_to_baseline(_report(), baseline)["w"]["ok"]
+
+    def test_cross_machine_slowdown_is_labeled(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_WARN_PCT", raising=False)
+        report = _report()
+        baseline = {
+            "host": {"python": "0.0.0", "machine": "vax"},
+            "quick": {"workloads": {
+                "w": {"fingerprint": {"f": 1}, "events_per_sec": 1000.0},
+            }},
+        }
+        rows = compare_to_baseline(report, baseline)
+        assert rows["w"]["ok"]  # committed-baseline slowdowns never fail
+        assert any("different or unknown host" in warning
+                   for warning in rows["w"]["warnings"])
+        # Same-host baselines keep the plain warning text.
+        baseline["host"] = report["host"]
+        rows = compare_to_baseline(report, baseline)
+        assert any("committed baseline" in w and "unknown host" not in w
+                   for w in rows["w"]["warnings"])
+
+    def test_run_suite_carries_host(self):
+        suite = run_suite(quick=True, names=["dispatcher_micro"])
+        assert suite["host"] == host_fingerprint()
+        assert set(suite["workloads"]) == {"dispatcher_micro"}
+        assert "prechange" not in suite
+        assert "flow_cache" not in suite["workloads"]["dispatcher_micro"]
 
 
 # ---------------------------------------------------------------------------

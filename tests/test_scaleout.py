@@ -1,5 +1,5 @@
-"""Scale-out tests: timer wheel, many-flow workload, LRU flow cache,
-port-reference indexing, and the parallel bench runner.
+"""Scale-out tests: timer wheel, many-flow workload, port-reference
+indexing, and the parallel bench runner.
 
 The load-bearing property here is *bit-identical simulated time*: the
 timer wheel, the indexed demultiplexing, and the process-pool runner are
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.wallclock import WORKLOADS, _many_flows
 from repro.sim import Engine
-from repro.spin.flowcache import FlowCache
 
 from nethelpers import make_pair
 
@@ -159,75 +158,6 @@ class TestManyFlows:
         # Host-side metrics exist but are not fingerprint material.
         assert "per_flow_kb" in record
         assert "per_flow_kb" not in fp
-
-    def test_fingerprint_ignores_flow_cache_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "1")
-        with_cache = _many_flows(200)["fingerprint"]
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        without_cache = _many_flows(200)["fingerprint"]
-        assert with_cache == without_cache
-
-
-# ---------------------------------------------------------------------------
-# flow-cache LRU
-# ---------------------------------------------------------------------------
-
-class TestFlowCacheLru:
-    def test_eviction_is_least_recently_used(self):
-        cache = FlowCache(capacity=3)
-        for key in ("a", "b", "c"):
-            cache.entry_for((key,))
-        cache.entry_for(("a",))          # recency order is now b, c, a
-        cache.entry_for(("d",))          # evicts b, the coldest
-        assert ("b",) not in cache.entries
-        assert set(cache.entries) == {("a",), ("c",), ("d",)}
-        assert cache.evictions == 1
-
-    def test_touch_preserves_entry_identity(self):
-        cache = FlowCache(capacity=2)
-        entry = cache.entry_for(("flow",))
-        entry.plans["event"] = "plan"
-        assert cache.entry_for(("flow",)) is entry
-        cache.entry_for(("other",))
-        # Touching must not have discarded the compiled plans.
-        assert cache.entry_for(("flow",)).plans == {"event": "plan"}
-
-    def test_repeat_memo_does_not_break_recency(self):
-        cache = FlowCache(capacity=2)
-        cache.entry_for((1,))
-        cache.entry_for((1,))            # memoized repeat (the hot case)
-        cache.entry_for((2,))
-        cache.entry_for((1,))            # real re-touch: order is 2, 1
-        cache.entry_for((3,))            # evicts 2
-        assert set(cache.entries) == {(1,), (3,)}
-
-    def test_counters_stay_consistent_under_churn(self):
-        cache = FlowCache(capacity=8)
-        for i in range(1_000):
-            cache.entry_for((i % 50,))
-        # 50 distinct keys cycling through 8 slots: every access misses,
-        # so each of the 1000 inserts past the first 8 evicted one entry.
-        assert len(cache.entries) == 8
-        assert cache.counters()["entries"] == 8
-        assert cache.evictions == 1_000 - 8
-
-    def test_capacity_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE_CAP", "2")
-        cache = FlowCache()
-        assert cache.capacity == 2
-        cache.entry_for((1,))
-        cache.entry_for((2,))
-        cache.entry_for((3,))
-        assert len(cache.entries) == 2
-        assert cache.evictions == 1
-        monkeypatch.setenv("REPRO_FLOW_CACHE_CAP", "bogus")
-        assert FlowCache().capacity == FlowCache.DEFAULT_CAPACITY
-
-    def test_disabled_cache_caches_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        cache = FlowCache(capacity=2)
-        assert cache.entry_for(("flow",)) is None
-        assert cache.entries == {}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.cpu import ChargeError
 from repro.spin import DispatchError
 
 
@@ -136,6 +137,20 @@ class TestCosts:
         _, cost = charged(kernel, lambda: dispatcher.raise_event(event))
         assert cost == pytest.approx(50.0 + kernel.costs.dispatch_per_handler)
 
+    def test_raise_outside_kernel_context_raises(self, dispatcher):
+        """Dispatch costs need an open accumulator: raising with no
+        kernel execution context is a programming error, not a no-op --
+        whether the first charge is a guard evaluation or a handler."""
+        seen = []
+        guarded = dispatcher.declare("Guarded")
+        dispatcher.install(guarded, lambda: seen.append(1), guard=lambda: True)
+        plain = dispatcher.declare("Plain")
+        dispatcher.install(plain, lambda: seen.append(2))
+        for event in (guarded, plain):
+            with pytest.raises(ChargeError):
+                dispatcher.raise_event(event)
+        assert seen == []
+
 
 class TestTimeLimits:
     def test_over_budget_handler_terminated(self, kernel, dispatcher):
@@ -185,6 +200,51 @@ class TestContainment:
         matched, _ = charged(kernel, lambda: dispatcher.raise_event(event))
         assert matched == 0
         assert handle.failures == 1
+
+    def test_guard_truthiness_exception_contained(self, kernel, dispatcher):
+        """A verdict whose ``__bool__`` throws is a guard failure too."""
+        class Explosive:
+            def __bool__(self):
+                raise RuntimeError("no verdict")
+
+        event = dispatcher.declare("X")
+        handle = dispatcher.install(event, lambda v: None,
+                                    guard=lambda v: Explosive())
+        seen = []
+        dispatcher.install(event, lambda v: seen.append(v))
+        for value in (0, 1):
+            matched, _ = charged(
+                kernel, lambda: dispatcher.raise_event(event, value))
+            assert matched == 1
+        assert seen == [0, 1]
+        assert handle.failures == 2
+        assert handle.invocations == 0
+        assert isinstance(handle.last_error, RuntimeError)
+
+
+class TestProfileHook:
+    def test_one_push_pop_per_raise(self, kernel, dispatcher):
+        """An attached ``cpu.profile`` sees every raise as one frame named
+        after the event, closed even when a guard or handler fails."""
+        calls = []
+
+        class Recorder:
+            def push(self, name):
+                calls.append(("push", name))
+
+            def pop(self):
+                calls.append(("pop",))
+
+        def broken(v):
+            raise RuntimeError("extension bug")
+
+        event = dispatcher.declare("Prof.Recv")
+        dispatcher.install(event, lambda v: None, guard=lambda v: v > 0)
+        dispatcher.install(event, broken)
+        kernel.cpu.profile = Recorder()
+        for value in range(3):
+            charged(kernel, lambda: dispatcher.raise_event(event, value))
+        assert calls == [("push", "Prof.Recv"), ("pop",)] * 3
 
 
 class TestThreadMode:
