@@ -8,8 +8,9 @@ well under a minute:
   must be bit-identical to ``benchmarks/wallclock_baseline.json``.  A
   substrate optimization that moves a single simulated microsecond is a
   correctness bug, not a performance trade.
-* **Throughput (warning only).**  Events/sec more than 20% below the
-  committed baseline emits a warning.  Wall-clock numbers depend on host
+* **Throughput (warning only).**  Packets/sec (handler dispatches/sec
+  for ``dispatcher_micro``, which moves no packets) more than 20% below
+  the committed baseline emits a warning.  Wall-clock numbers depend on host
   load, so a slowdown never fails CI; it shows up in the warnings summary
   for a human to judge.
 
@@ -24,7 +25,7 @@ import warnings
 import pytest
 
 from repro.bench.wallclock import (
-    WORKLOADS,
+    SUITE_WORKLOADS,
     compare_to_baseline,
     load_baseline,
     run_suite,
@@ -40,7 +41,7 @@ def quick_suite():
 
     Best-of-3 with a collected heap: when this module runs after the rest
     of the benchmark suite, garbage left by earlier tests can otherwise
-    halve the measured events/sec and trip the slowdown warning for no
+    halve the measured packets/sec and trip the slowdown warning for no
     substrate reason.
     """
     gc.collect()
@@ -64,7 +65,7 @@ def test_smoke_completes_inside_budget(quick_suite):
         % (quick_suite["suite_wall_s"], SMOKE_BUDGET_S))
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("name", SUITE_WORKLOADS)
 def test_fingerprint_matches_baseline(quick_suite, baseline, name):
     """The determinism guard: simulated time must not drift at all."""
     expected = baseline["quick"]["workloads"][name]["fingerprint"]
@@ -74,14 +75,14 @@ def test_fingerprint_matches_baseline(quick_suite, baseline, name):
         "baseline:\n  measured %r\n  expected %r" % (name, actual, expected))
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("name", SUITE_WORKLOADS)
 def test_throughput_regression_warns_only(quick_suite, baseline, name):
     rows = compare_to_baseline(quick_suite, baseline)
     row = rows[name]
     # Fingerprint errors are asserted above; here only the soft contract.
     for message in row["warnings"]:
         warnings.warn("wallclock %s: %s" % (name, message))
-    assert "events_per_sec_vs_baseline" in row
+    assert "speed_vs_baseline" in row
 
 
 def test_repeats_are_deterministic():

@@ -114,8 +114,9 @@ def _wallclock(quick: bool, jobs: int = 1, sim_jobs: int = 1) -> int:
     for name in sorted(suite["workloads"]):
         record = suite["workloads"][name]
         row = suite.get("comparison", {}).get(name, {})
-        print("%-18s %10.0f ev/s  %8.3f s wall" % (
-            name, record["events_per_sec"], record["wall_s"]))
+        print("%-18s %10.0f pkt/s %10.0f ev/s  %8.3f s wall" % (
+            name, record["packets_per_sec"], record["events_per_sec"],
+            record["wall_s"]))
         for warning in row.get("warnings", ()):
             print("  WARN: %s" % warning)
         for error in row.get("errors", ()):

@@ -137,11 +137,13 @@ def wallclock_smoke() -> List[Dict]:
 
     Same row shape as :func:`check_all` so ``--check`` can print one
     table.  ``ok`` is False on simulated-time fingerprint drift against
-    the committed baseline.  Events/sec below the committed baseline
-    only sets ``warned``: that comparison may span machines, so
-    host-side throughput against it is not a golden number.
+    the committed baseline.  Speed below the committed baseline
+    (``wallclock.speed_metric``) only sets ``warned``: that comparison
+    may span machines, so host-side throughput against it is not a
+    golden number.
     """
-    from .wallclock import compare_to_baseline, load_baseline, run_suite
+    from .wallclock import (compare_to_baseline, load_baseline, run_suite,
+                            speed_metric)
 
     tolerance = bench_warn_pct() / 100.0
     suite = run_suite(quick=True, repeats=3)
@@ -152,11 +154,13 @@ def wallclock_smoke() -> List[Dict]:
                  "measured": "missing", "deviation": None, "tolerance": None,
                  "ok": True, "warned": True}]
     for name, row in sorted(compare_to_baseline(suite, baseline).items()):
-        ratio = row.get("events_per_sec_vs_baseline")
+        ratio = row.get("speed_vs_baseline")
+        base = baseline["quick"]["workloads"][name]
+        metric = speed_metric(base)
         rows.append({
-            "metric": "wallclock.%s.events_per_sec" % name,
-            "expected": baseline["quick"]["workloads"][name]["events_per_sec"],
-            "measured": suite["workloads"][name]["events_per_sec"],
+            "metric": "wallclock.%s.%s" % (name, metric),
+            "expected": base[metric],
+            "measured": suite["workloads"][name][metric],
             "deviation": (None if ratio is None else abs(1.0 - ratio)),
             "tolerance": tolerance,
             "ok": not row["errors"],

@@ -45,10 +45,12 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "WORKLOADS",
+    "SUITE_WORKLOADS",
     "run_workload",
     "run_suite",
     "fingerprints_only",
     "compare_to_baseline",
+    "speed_metric",
     "host_fingerprint",
     "write_report",
     "REPORT_SCHEMA_VERSION",
@@ -86,7 +88,11 @@ __all__ = [
 #: ``prechange`` leg: dispatch has one path (the guard scan), so there
 #: is no cache to count and no second rung to compare against.
 #: Fingerprints and metrics of the surviving records are unchanged.
-REPORT_SCHEMA_VERSION = 8
+#: Schema 9 renames the comparison rows' ``events_per_sec_vs_baseline``
+#: to ``speed_vs_baseline``: the ratio of :func:`speed_metric`
+#: (packets/sec), which stays put when the simulator moves the same
+#: packets with fewer scheduler events.
+REPORT_SCHEMA_VERSION = 9
 REPORT_FILENAME = "BENCH_wallclock.json"
 
 #: repo-root and committed-baseline locations, resolved relative to this file
@@ -904,6 +910,11 @@ WORKLOADS: Dict[str, tuple] = {
 #: budgets and the committed BENCH_wallclock.json schema stay unchanged).
 ON_DEMAND_WORKLOADS = ("mega_flows", "fabric_fat_tree")
 
+#: The default suite: what ``run_suite`` runs and the committed
+#: baseline records.
+SUITE_WORKLOADS = tuple(sorted(
+    name for name in WORKLOADS if name not in ON_DEMAND_WORKLOADS))
+
 #: Workloads whose quick scale is itself huge warm up at a smaller one
 #: (the warmup pass exists to heat imports and pools, not to pay the
 #: full workload twice).
@@ -1008,8 +1019,7 @@ def run_suite(quick: bool = False, repeats: int = 1,
     extra, gated on exact equality with its own serial oracle.
     """
     from .runner import run_wallclock_suite
-    workload_names = list(names or sorted(
-        name for name in WORKLOADS if name not in ON_DEMAND_WORKLOADS))
+    workload_names = list(names or SUITE_WORKLOADS)
     workloads, parallel_legs = run_wallclock_suite(
         workload_names, quick=quick, repeats=repeats, jobs=jobs,
         sim_jobs=sim_jobs)
@@ -1036,8 +1046,7 @@ def run_suite(quick: bool = False, repeats: int = 1,
 def fingerprints_only(quick: bool = True) -> Dict[str, Dict]:
     """Just the simulated-time fingerprints (for the determinism tests)."""
     return {name: run_workload(name, quick=quick)["fingerprint"]
-            for name in sorted(WORKLOADS)
-            if name not in ON_DEMAND_WORKLOADS}
+            for name in SUITE_WORKLOADS}
 
 
 # ---------------------------------------------------------------------------
@@ -1053,17 +1062,30 @@ def load_baseline(path: str = None) -> Optional[Dict]:
         return None
 
 
+def speed_metric(record: Dict) -> str:
+    """The record field that measures host speed on fixed simulated work.
+
+    ``packets_per_sec``: a workload's packets are fixed by its scale,
+    while its scheduler events drop whenever the simulator learns to
+    move the same packets with fewer.  ``dispatcher_micro`` moves no
+    packets; its ``events`` are handler dispatches, fixed by its scale.
+    """
+    return "packets_per_sec" if record.get("packets_per_sec") else \
+        "events_per_sec"
+
+
 def compare_to_baseline(report: Dict, baseline: Dict,
                         slowdown_warn: Optional[float] = None) -> Dict:
     """Compare a fresh report against the committed baseline.
 
     Fingerprint mismatches are *errors* -- simulated time is
-    deterministic and machine-independent -- but events/sec versus the
+    deterministic and machine-independent -- but packets/sec versus the
     committed numbers only *warns* beyond ``slowdown_warn``
     (``REPRO_BENCH_WARN_PCT``, default 20), and when the report and
     baseline ``host`` fingerprints differ the warning says so: the
     numbers were measured on different hardware and carry no signal.
-    Rows record ``events_per_sec_vs_baseline`` (informational).
+    The speed metric is :func:`speed_metric`; rows record the ratio
+    as ``speed_vs_baseline`` (informational).
     """
     if slowdown_warn is None:
         from .regression import bench_warn_pct
@@ -1087,14 +1109,16 @@ def compare_to_baseline(report: Dict, baseline: Dict,
             row["errors"].append(
                 "simulated-time fingerprint drifted: %r != baseline %r"
                 % (record["fingerprint"], base["fingerprint"]))
-        if base.get("events_per_sec"):
-            ratio = record["events_per_sec"] / base["events_per_sec"]
-            row["events_per_sec_vs_baseline"] = ratio
+        metric = speed_metric(base)
+        if base.get(metric):
+            ratio = record[metric] / base[metric]
+            row["speed_vs_baseline"] = ratio
             if ratio < 1.0 - slowdown_warn:
                 row["warnings"].append(
-                    "events/sec is %.0f%% of committed baseline (warn "
+                    "%s is %.0f%% of committed baseline (warn "
                     "threshold %.0f%%)%s"
-                    % (100 * ratio, 100 * (1.0 - slowdown_warn), host_note))
+                    % (metric, 100 * ratio, 100 * (1.0 - slowdown_warn),
+                       host_note))
     return rows
 
 

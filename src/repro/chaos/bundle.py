@@ -39,6 +39,7 @@ def write_bundle(verdict: Dict[str, Any],
         "spec": spec,
         "violations": verdict["violations"],
         "fingerprint": verdict["fingerprint"],
+        "events": verdict.get("events"),
         "impairments": verdict.get("impairments", {}),
         "metrics": verdict.get("metrics", {}),
         "errors": verdict.get("errors", []),

@@ -131,7 +131,6 @@ class CampaignContext:
             tcp["fast_retransmits"] += tcb.fast_retransmits
         return {
             "final_now_us": engine.now,
-            "events": engine.events_processed,
             "flows": flows,
             "tcp": tcp,
             "media": [medium.fault_counters() for medium in self.bed.media()],
@@ -349,6 +348,10 @@ def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
         "passed": not violations,
         "violations": violations,
         "fingerprint": fingerprint,
+        # Scheduler events measure the simulator, not the simulated run:
+        # kept beside the fingerprint so event-count optimizations do not
+        # read as behaviour drift.
+        "events": ctx.bed.engine.events_processed,
         "impairments": ctx.impairment_counters(),
         # Full obs-registry snapshot of the finished bed: deterministic,
         # so it rides along in replay bundles without breaking byte-equal

@@ -153,11 +153,13 @@ class SwitchHost:
         if egress.peer_addr is None:
             raise SimulationError("%s port %d has no peer address"
                                   % (self.name, index))
-        # The egress copy is buffered in a fresh mbuf chain so the
-        # per-host mbuf conservation law (one chain per frame moved)
-        # holds on switches exactly as on end hosts.
-        out = self.host.mbufs.from_bytes(data, leading_space=0)
-        egress.nic.stage_tx(out.to_bytes(), egress.peer_addr)
+        # The egress copy is buffered (and charged) in a fresh mbuf
+        # chain so the per-host mbuf conservation law (one chain per
+        # frame moved) holds on switches exactly as on end hosts.  The
+        # chain holds exactly ``data``, so the frame is staged from
+        # ``data`` rather than copied back out of the chain.
+        self.host.mbufs.from_bytes(data, leading_space=0)
+        egress.nic.stage_tx(data, egress.peer_addr)
         egress.forwarded += 1
         self.pipeline_forwarded += 1
 

@@ -150,7 +150,8 @@ class CPU:
         if microseconds <= 0:
             return
         request = self.resource.request(priority)
-        yield request
+        if request.granted_at is None:
+            yield request
         yield self.engine.pooled_timeout(microseconds)
         self.busy_time += microseconds
         self._consumed_slices += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
-from ..sim import Engine, Process
+from ..sim import DetachedProcess, Engine
 from .alpha import ALPHA_21064, CostTable
 from .cpu import CPU, THREAD_PRIORITY, ChargeError
 
@@ -60,15 +60,21 @@ class Timer:
         if self.cancelled:
             return
         self.fired = True
+        # Drop the handle: it holds this timer's bound _fire, and the
+        # cycle would leave every fired timer to the cyclic collector.
+        self._handle = None
         host = self.host
-        Process(host.engine,
-                host.kernel_path(self.fn, self.args, self.priority),
-                name=self.name, immediate=True)
+        DetachedProcess(host.engine,
+                        host.kernel_path(self.fn, self.args, self.priority),
+                        name=self.name, immediate=True)
 
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
-            self._handle.cancel()
+            handle = self._handle
+            if handle is not None:
+                self._handle = None
+                handle.cancel()
 
 
 class Host:
@@ -124,7 +130,8 @@ class Host:
         """
         cpu = self.cpu
         request = cpu.resource.request(priority)
-        yield request
+        if request.granted_at is None:
+            yield request
         # Off-by-default observability hook: one attribute load + None
         # check per path when no profiler/tracer is attached.
         profile = cpu.profile
@@ -165,20 +172,16 @@ class Host:
 
     def spawn_kernel_path(self, fn: Callable, args: Tuple = (),
                           priority: int = THREAD_PRIORITY,
-                          name: str = "kpath") -> Process:
+                          name: str = "kpath") -> None:
         """Start :meth:`kernel_path` as an independent process.
 
-        A kernel path that raises is a kernel bug, not an extension
-        failure (the dispatcher contains those); the exception is
-        re-raised out of the engine so it surfaces immediately.
+        The path starts on the engine's next zero-delay turn and its
+        completion fires no event.  A kernel path that raises is a
+        kernel bug, not an extension failure (the dispatcher contains
+        those); the exception leaves the engine immediately.
         """
-        process = self.engine.process(self.kernel_path(fn, args, priority), name=name)
-
-        def surface(event) -> None:
-            if event._exception is not None:
-                raise event._exception
-        process.callbacks.append(surface)
-        return process
+        DetachedProcess(self.engine, self.kernel_path(fn, args, priority),
+                        name=name)
 
     def set_timer(self, delay_us: float, fn: Callable, args: Tuple = (),
                   priority: int = THREAD_PRIORITY, name: str = "timer") -> Timer:

@@ -21,7 +21,7 @@ import dataclasses
 import random
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..sim import Engine, Resource
+from ..sim import DetachedProcess, Engine, Resource
 from ..sim.shm import pack_frame, unpack_frame
 from .alpha import MICROSECONDS_PER_SECOND
 
@@ -387,7 +387,8 @@ class _Medium:
         partition coordinator's mailbox instead of spawning a local
         coroutine.
         """
-        self.engine.process(self._delivery(sink, frame, delay_us), name=name)
+        DetachedProcess(self.engine, self._delivery(sink, frame, delay_us),
+                        name=name)
 
 
 class EthernetSegment(_Medium):
@@ -405,7 +406,8 @@ class EthernetSegment(_Medium):
         """Occupy the bus for the frame's wire time, then deliver."""
         engine = self.engine
         grant = self._medium.request()
-        yield grant
+        if grant.granted_at is None:
+            yield grant
         yield engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
         grant.release()
         self.frames_carried += 1
@@ -452,7 +454,8 @@ class PointToPointLink(_Medium):
         peer = self.peer_of(sender)
         lane = self._direction[id(sender)]
         grant = lane.request()
-        yield grant
+        if grant.granted_at is None:
+            yield grant
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
         grant.release()
         self._account(frame)
@@ -494,7 +497,8 @@ class SwitchPort(_Medium):
     def transmit(self, sender, frame: Frame) -> Generator:
         """NIC -> switch direction (impairments apply here)."""
         grant = self._to_switch.request()
-        yield grant
+        if grant.granted_at is None:
+            yield grant
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
         grant.release()
         self._account(frame)
@@ -514,7 +518,8 @@ class SwitchPort(_Medium):
     def forward_to_nic(self, frame: Frame) -> Generator:
         """Switch -> NIC direction (clean: the switch already paid the port)."""
         grant = self._to_nic.request()
-        yield grant
+        if grant.granted_at is None:
+            yield grant
         yield self.engine.pooled_timeout(transmission_time_us(frame.wire_bytes, self.bandwidth_bps))
         grant.release()
         yield self.engine.pooled_timeout(self.propagation_us)
@@ -572,7 +577,8 @@ class BoundaryChannel(_Medium):
     def transmit(self, sender, frame: Frame) -> Generator:
         """Local NIC -> remote half (impairments apply on the send side)."""
         grant = self._lane.request()
-        yield grant
+        if grant.granted_at is None:
+            yield grant
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
         grant.release()
         self._account(frame)
@@ -642,7 +648,7 @@ class Switch:
         self._ports[nic.address] = port
 
     def accept(self, frame: Frame) -> None:
-        self.engine.process(self._forward(frame), name="switch-fwd")
+        DetachedProcess(self.engine, self._forward(frame), name="switch-fwd")
 
     def _forward(self, frame: Frame) -> Generator:
         yield self.engine.pooled_timeout(self.forward_latency_us)
@@ -656,4 +662,5 @@ class Switch:
         for addr, out_port in self._ports.items():
             if addr == frame.src_addr:
                 continue
-            self.engine.process(out_port.forward_to_nic(frame), name="switch-flood")
+            DetachedProcess(self.engine, out_port.forward_to_nic(frame),
+                            name="switch-flood")

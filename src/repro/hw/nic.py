@@ -24,7 +24,7 @@ import dataclasses
 import itertools
 from typing import Generator, Optional
 
-from ..sim import Engine, Store
+from ..sim import DetachedProcess, Engine, Store
 from .link import BROADCAST, Frame
 
 __all__ = ["NIC", "DriverProfile", "LanceEthernet", "ForeAtm", "T3Nic",
@@ -61,6 +61,7 @@ class NIC:
         self.host = None          # set by Host.add_nic
         self.link = None          # set by medium.attach
         self._tx_queue = Store(engine, capacity=tx_queue_len)
+        self._tx_busy = False
         self.rx_ring_len = rx_ring_len
         self.rx_pending = 0
         self.tx_frames = 0
@@ -70,8 +71,7 @@ class NIC:
         self.rx_drops = 0
         self.rx_filtered = 0  # delivered by the wire, not addressed to us
         self.promiscuous = False
-        self._rx_name = "%s-rx" % self.name  # per-frame process label
-        engine.process(self._tx_process(), name="%s-tx" % self.name)
+        self._tx_name = "%s-tx" % self.name  # transmitter process label
 
     # -- device-specific policy -------------------------------------------
 
@@ -149,7 +149,14 @@ class NIC:
 
         def enqueue() -> None:
             frame.enqueued_at = self.engine.now
-            self._tx_queue.try_put(frame)
+            if self._tx_busy:
+                self._tx_queue.try_put(frame)
+                return
+            # Idle transmitter: the frame goes straight onto the wire,
+            # inside the kernel path that staged it.
+            self._tx_busy = True
+            DetachedProcess(self.engine, self._transmit(frame),
+                            name=self._tx_name, immediate=True)
         host.defer(enqueue)
         self.tx_frames += 1
         self.tx_bytes += size
@@ -158,12 +165,17 @@ class NIC:
         # overflow shows up in the ring's own drop counters.
         return True
 
-    def _tx_process(self) -> Generator:
+    def _transmit(self, frame: Frame) -> Generator:
+        """Send ``frame``, then every frame queued meanwhile; the
+        transmitter goes idle when the queue is empty."""
+        queue = self._tx_queue
         while True:
-            frame = yield self._tx_queue.get()
-            if self.link is None:
-                continue  # unplugged: frame vanishes
-            yield from self.link.transmit(self, frame)
+            if self.link is not None:  # unplugged: the frame vanishes
+                yield from self.link.transmit(self, frame)
+            ready, frame = queue.try_get()
+            if not ready:
+                self._tx_busy = False
+                return
 
     # -- receive path -----------------------------------------------------------
 
@@ -181,10 +193,12 @@ class NIC:
             self.rx_drops += 1
             return
         self.rx_pending += 1
-        self.engine.process(self._raise_interrupt(frame), name=self._rx_name)
+        # The device raises the interrupt rx_latency_us later.
+        self.engine.pooled_timeout(self.profile.rx_latency_us,
+                                   frame).callbacks.append(self._interrupt)
 
-    def _raise_interrupt(self, frame: Frame) -> Generator:
-        yield self.engine.pooled_timeout(self.profile.rx_latency_us)
+    def _interrupt(self, event) -> None:
+        frame = event._value
         self.rx_frames += 1
         self.rx_bytes += len(frame.data)
         self.host.frame_arrived(self, frame)

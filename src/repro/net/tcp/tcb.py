@@ -836,6 +836,13 @@ class Tcb:
             self.proto.forget(self)
             if notify_reset and self.on_reset is not None:
                 self.on_reset()
+        # A closed TCB notifies no one.  Dropping the callbacks (bound to
+        # the owning socket) and the TIME_WAIT timer (bound to this TCB;
+        # if still armed it fires into the no-op above) leaves no
+        # reference cycle behind for the cyclic collector.
+        self.on_established = self.on_data = self.on_close = None
+        self.on_reset = self.on_sendable = None
+        self._timewait_timer = None
 
     # ------------------------------------------------------------------
     # Notifications

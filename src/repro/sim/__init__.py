@@ -2,7 +2,8 @@
 
 Public surface::
 
-    from repro.sim import Engine, Event, Timeout, Process, Interrupt
+    from repro.sim import Engine, Event, Timeout, Process, DetachedProcess
+    from repro.sim import Interrupt
     from repro.sim import Resource, Store, Signal
     from repro.sim import SchedulerCore, PartitionEngine, PartitionedSimulation
 """
@@ -10,6 +11,7 @@ Public surface::
 from .engine import (
     AllOf,
     AnyOf,
+    DetachedProcess,
     Engine,
     Event,
     Interrupt,
@@ -30,6 +32,7 @@ from .timers import TimerHandle, TimerWheel
 __all__ = [
     "AllOf",
     "AnyOf",
+    "DetachedProcess",
     "Engine",
     "Event",
     "Interrupt",

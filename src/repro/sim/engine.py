@@ -44,6 +44,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "DetachedProcess",
     "AnyOf",
     "AllOf",
     "Interrupt",
@@ -220,11 +221,14 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         if immediate:
             # Run the generator to its first yield right now.  Only valid
-            # from inside event processing (a callback): timer-wheel fires
-            # use it so the fired body starts in the very event that was
-            # the old implementation's heap timeout -- same tick, same
-            # relative order, one fewer bootstrap hop.
+            # from inside event processing: timer-wheel fires use it so
+            # the fired body starts in the very event that was the old
+            # implementation's heap timeout, and an idle NIC starts its
+            # transmitter inside the kernel path that staged the frame.
+            # The caller may itself be a running process; restore it.
+            outer = engine._active_process
             self._resume(_BOOTSTRAP)
+            engine._active_process = outer
         else:
             # Bootstrap: resume the generator as soon as the engine runs.
             engine._poke(self._resume)
@@ -285,6 +289,27 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume)
             self._waiting_on = target
+
+
+class DetachedProcess(Process):
+    """A process nothing waits on: finishing schedules no event.
+
+    Kernel paths, NIC transmitters and frame deliveries are started and
+    forgotten, so the completion event of a plain :class:`Process` would
+    fire with no callbacks.  A detached process is marked processed the moment its
+    generator returns, and an exception escaping the generator is a
+    simulator bug: it propagates out of :meth:`Engine.run` at once.
+    """
+
+    __slots__ = ()
+
+    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+        self._state = _PROCESSED
+        self._value = value
+        return self
+
+    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+        raise exception
 
 
 class AnyOf(Event):

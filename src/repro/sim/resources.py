@@ -16,16 +16,22 @@ from __future__ import annotations
 import heapq
 from typing import Any, List, Optional, Tuple
 
-from .engine import Engine, Event, SimulationError, _PENDING
+from .engine import Engine, Event, SimulationError, _PENDING, _PROCESSED
 
 __all__ = ["Resource", "ResourceRequest", "Store", "Signal"]
 
 
 class ResourceRequest(Event):
-    """Event representing one pending acquisition of a :class:`Resource`.
+    """Event representing one acquisition of a :class:`Resource`.
 
-    Fires (succeeds) when the resource grants the request.  The holder must
-    eventually call :meth:`release`.
+    An uncontended request is granted on the spot: it comes back from
+    :meth:`Resource.request` already processed, with ``granted_at`` set,
+    and no event is scheduled.  A queued request fires (succeeds, with
+    value None) when the resource grants it.  Yielding either kind works
+    -- a process that yields a processed request resumes at the same
+    instant -- but hot paths test ``granted_at`` and yield only while the
+    request is still pending.  The holder must eventually call
+    :meth:`release`.
     """
 
     __slots__ = ("resource", "priority", "granted_at", "_released")
@@ -72,15 +78,15 @@ class Resource:
         self._waiting: List[Tuple[int, int, ResourceRequest]] = []
 
     def request(self, priority: int = 0) -> ResourceRequest:
-        """Return a request event; yield it to wait for the grant."""
+        """Return a request; yield it while ``granted_at`` is None."""
         req = ResourceRequest(self, priority)
         if not self._waiting and self.in_use < self.capacity:
-            # Uncontended: grant immediately without touching the wait
-            # heap (identical outcome: the push below would pop this same
-            # request right back off).
+            # Uncontended: grant synchronously, without touching the wait
+            # heap (the push below would pop this same request right back
+            # off) and without a grant event.
             self.in_use += 1
             req.granted_at = self.engine.now
-            req.succeed(req)
+            req._state = _PROCESSED
             return req
         self._sequence += 1
         heapq.heappush(self._waiting, (priority, self._sequence, req))
@@ -94,7 +100,7 @@ class Resource:
                 continue
             self.in_use += 1
             req.granted_at = self.engine.now
-            req.succeed(req)
+            req.succeed()
 
     def _release_one(self) -> None:
         if self.in_use <= 0:

@@ -115,7 +115,9 @@ class TestSabotage:
     def test_bundle_with_oracle_key_replays(self):
         """A bundle written while specs carried an ``oracle`` flag (a
         rerun with the flow cache off) still loads, and its replay
-        reaches the verdict the bundle recorded."""
+        reaches the verdict the bundle recorded.  The bundle predates
+        moving the scheduler-event count out of the fingerprint, so that
+        one field is left out of the comparison."""
         path = os.path.join(os.path.dirname(__file__), "data",
                             "bundle_legacy_oracle.json")
         with open(path) as handle:
@@ -123,7 +125,9 @@ class TestSabotage:
         assert bundle["spec"]["oracle"] is True
         replay = run_campaign(load_bundle(path))
         assert replay["violations"] == bundle["violations"]
-        assert replay["fingerprint"] == bundle["fingerprint"]
+        recorded = dict(bundle["fingerprint"])
+        del recorded["events"]
+        assert replay["fingerprint"] == recorded
         assert replay["impairments"] == bundle["impairments"]
         assert "oracle" not in replay["spec"]
 

@@ -129,13 +129,13 @@ class TestBenchWarnPct:
         report = {
             "quick": True,
             "workloads": {
-                "w": {"fingerprint": {"f": 1}, "events_per_sec": 50.0},
+                "w": {"fingerprint": {"f": 1}, "packets_per_sec": 50.0},
             },
         }
         baseline = {
             "quick": {
                 "workloads": {
-                    "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0},
+                    "w": {"fingerprint": {"f": 1}, "packets_per_sec": 100.0},
                 },
             },
         }
@@ -160,7 +160,7 @@ def _report(fingerprint=None):
         "host": host_fingerprint(),
         "workloads": {
             "w": {"fingerprint": fingerprint or {"f": 1},
-                  "events_per_sec": 100.0, "wall_s": 1.0},
+                  "packets_per_sec": 100.0, "wall_s": 1.0},
         },
     }
 
@@ -168,7 +168,7 @@ def _report(fingerprint=None):
 class TestBaselineGate:
     def test_fingerprint_drift_fails(self):
         baseline = {"quick": {"workloads": {
-            "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0},
+            "w": {"fingerprint": {"f": 1}, "packets_per_sec": 100.0},
         }}}
         rows = compare_to_baseline(_report(fingerprint={"f": 2}), baseline)
         assert not rows["w"]["ok"]
@@ -181,7 +181,7 @@ class TestBaselineGate:
         baseline = {
             "host": {"python": "0.0.0", "machine": "vax"},
             "quick": {"workloads": {
-                "w": {"fingerprint": {"f": 1}, "events_per_sec": 1000.0},
+                "w": {"fingerprint": {"f": 1}, "packets_per_sec": 1000.0},
             }},
         }
         rows = compare_to_baseline(report, baseline)

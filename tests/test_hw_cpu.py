@@ -198,6 +198,19 @@ class TestKernelPath:
         assert fired == []
         assert not timer.fired
 
+    def test_timer_lets_go_of_its_handle(self, engine, host):
+        """The wheel handle holds the timer's bound ``_fire``; a fired or
+        cancelled timer drops it so the pair is freed by refcount."""
+        fired = host.set_timer(10.0, lambda: None)
+        cancelled = host.set_timer(20.0, lambda: None)
+        assert fired._handle is not None
+        cancelled.cancel()
+        assert cancelled._handle is None
+        engine.run()
+        assert fired.fired and fired._handle is None
+        fired.cancel()  # cancelling after the fire stays harmless
+        assert fired.cancelled
+
     def test_scaled_cost_table(self):
         slower = ALPHA_21064.scaled(2.0)
         assert slower.context_switch == ALPHA_21064.context_switch * 2

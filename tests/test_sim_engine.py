@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Process, SimulationError
+from repro.sim import DetachedProcess, Interrupt, Process, SimulationError
 
 
 class TestClock:
@@ -175,6 +175,31 @@ class TestProcess:
             except KeyError:
                 return "caught"
         assert engine.run_process(proc()) == "caught"
+
+
+class TestDetachedProcess:
+    def test_completion_schedules_no_event(self, engine):
+        def proc():
+            yield engine.timeout(1.0)
+            return 7
+        process = DetachedProcess(engine, proc())
+        engine.run()
+        assert process.processed and process.value == 7
+        # Bootstrap poke and the timeout; nothing for the completion.
+        assert engine.events_processed == 2
+
+    def test_exception_leaves_the_engine_at_once(self, engine):
+        later = []
+
+        def proc():
+            yield engine.timeout(1.0)
+            # Queued ahead of where a completion event would go.
+            engine.timeout(0.0).callbacks.append(lambda _e: later.append(1))
+            raise ValueError("simulator bug")
+        DetachedProcess(engine, proc())
+        with pytest.raises(ValueError, match="simulator bug"):
+            engine.run()
+        assert engine.now == 1.0 and later == []
 
 
 class TestInterrupt:

@@ -18,6 +18,52 @@ class TestResource:
         assert engine.run_process(proc()) == "ok"
         assert resource.in_use == 0
 
+    def test_uncontended_request_is_granted_synchronously(self, engine):
+        resource = Resource(engine)
+        engine.run(until=5.0)
+        request = resource.request()
+        assert request.processed
+        assert request.granted_at == 5.0
+        assert resource.in_use == 1
+        assert engine.pending_count() == 0  # no grant event
+        request.release()
+        assert resource.in_use == 0
+
+    def test_yield_on_granted_request_resumes_at_same_instant(self, engine):
+        resource = Resource(engine)
+
+        def proc():
+            yield engine.timeout(3.0)
+            request = resource.request()
+            value = yield request
+            assert engine.now == 3.0
+            request.release()
+            return value
+        assert engine.run_process(proc()) is None
+        assert engine.now == 3.0
+
+    def test_contended_grants_keep_priority_fifo_order(self, engine):
+        resource = Resource(engine)
+        holder = resource.request()
+        assert holder.processed
+        order = []
+
+        def waiter(tag, priority):
+            request = resource.request(priority)
+            assert request.granted_at is None  # queued, not granted
+            yield request
+            order.append((tag, engine.now, request.granted_at))
+            yield engine.timeout(1.0)
+            request.release()
+        for tag, priority in (("b1", 2), ("a1", 1), ("b2", 2), ("a2", 1)):
+            engine.process(waiter(tag, priority))
+        engine.run(until=2.0)
+        assert order == []
+        holder.release()
+        engine.run()
+        assert order == [("a1", 2.0, 2.0), ("a2", 3.0, 3.0),
+                         ("b1", 4.0, 4.0), ("b2", 5.0, 5.0)]
+
     def test_capacity_must_be_positive(self, engine):
         with pytest.raises(ValueError):
             Resource(engine, capacity=0)
